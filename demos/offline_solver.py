@@ -18,7 +18,6 @@ from rightsizing import (
     dp_optimal,
     pad_to_power_of_two,
     solve_poly,
-    warm_kernels,
 )
 
 rng = np.random.default_rng(7)
@@ -41,7 +40,6 @@ big = ProblemInstance(
     functions=tuple(AffineAbsCost(float(e), float(c)) for e, c in
                     zip(rng.uniform(0.1, 2.0, T), rng.uniform(0, m, T))),
 )
-warm_kernels()
 t0 = time.perf_counter()
 fast = solve_poly(big)
 fast_ms = (time.perf_counter() - t0) * 1e3

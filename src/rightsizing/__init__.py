@@ -36,7 +36,6 @@ from .offline import (
     round_fractional,
     scale_psi,
     solve_poly,
-    warm_kernels,
 )
 from .lcp import (
     LcpDecision,

@@ -37,7 +37,7 @@ from .model import (
     instance_to_json,
     load_instance,
 )
-from .offline import dp_optimal, fractional_grid_optimum, solve_poly, warm_kernels
+from .offline import dp_optimal, fractional_grid_optimum, solve_poly
 from .randomized import round_step
 
 ORACLE_STATE_CAP = 1 << 12  # benches skip the full DP above this fleet size
@@ -195,7 +195,6 @@ def _random_affine_instance(T: int, m: int, seed: int,
 
 
 def _bench_offline(writer) -> None:
-    warm_kernels()
     writer.writerow(["T", "m", "poly_ms", "oracle_ms", "costs_equal"])
     cases = [(2000, 1 << 8), (2000, 1 << 10), (2000, 1 << 12),
              (10_000, 1 << 10), (10_000, 1 << 16), (10_000, 1 << 20)]

@@ -28,11 +28,6 @@ from .model import (
     eval_cost,
 )
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-    njit = None
-
 _REFINE_OFFSETS = np.array([-2, -1, 0, 1, 2], dtype=np.int64)
 
 ColumnCandidates = list  # list of sorted integer tuples, one per slot
@@ -102,62 +97,36 @@ def _row_evaluator(functions: Sequence[CostFunction]):
 # ---------------------------------------------------------------------------
 
 
-def _window_dp_impl(S, F, beta):
-    # S[t, i]: candidate states per slot, ascending (duplicates allowed).
-    # Returns the lexicographically smallest min-cost schedule: suffix
-    # values first, then a forward greedy that keeps the first argmin.
+def _window_dp(S, F, beta):
+    """Lexicographically smallest minimum-cost schedule over candidate
+    states ``S[t, i]`` (ascending per slot, duplicates allowed) with
+    operating costs ``F[t, i]``; returns ``(x, feasible)``.
+
+    The backward pass stores, for every state of slot t, the first argmin
+    over the next slot of reach cost plus suffix value.  That is the choice
+    the forward greedy makes from that state, so the schedule is a walk
+    along the pointer table."""
     T, W = S.shape
+    # A NaN cost never wins a strict comparison, so it marks a forbidden
+    # state exactly as +inf does; min/argmin would propagate it instead.
+    F = np.where(np.isnan(F), np.inf, F)
+    d = S[1:, None, :] - S[:-1, :, None]
+    climb = np.where(d > 0, beta * d, 0.0)
     H = np.zeros((T, W), dtype=np.float64)
-    c = np.empty(W, dtype=np.float64)
+    P = np.empty((T - 1, W), dtype=np.int64)
     for t in range(T - 2, -1, -1):
-        for j in range(W):
-            c[j] = F[t + 1, j] + H[t + 1, j]
-        for i in range(W):
-            si = S[t, i]
-            best = np.inf
-            for j in range(W):
-                d = S[t + 1, j] - si
-                v = c[j] + (beta * d if d > 0 else 0.0)
-                if v < best:
-                    best = v
-            H[t, i] = best
-    x = np.empty(T, dtype=np.int64)
-    best = np.inf
-    bi = 0
-    for i in range(W):
-        v = beta * S[0, i] + F[0, i] + H[0, i]
-        if v < best:
-            best = v
-            bi = i
-    if not np.isfinite(best):
-        return x, False
-    x[0] = S[0, bi]
-    prev = x[0]
-    for t in range(1, T):
-        best = np.inf
-        bi = 0
-        for i in range(W):
-            d = S[t, i] - prev
-            v = F[t, i] + H[t, i] + (beta * d if d > 0 else 0.0)
-            if v < best:
-                best = v
-                bi = i
-        x[t] = S[t, bi]
-        prev = x[t]
-    return x, True
-
-
-if njit is not None:
-    _window_dp = njit(cache=True)(_window_dp_impl)
-else:  # pragma: no cover
-    _window_dp = _window_dp_impl
-
-
-def warm_kernels() -> None:
-    """Trigger JIT compilation so timed runs measure the algorithm only."""
-    S = np.array([[0, 1], [0, 1]], dtype=np.int64)
-    F = np.zeros((2, 2), dtype=np.float64)
-    _window_dp(S, F, 1.0)
+        M = (F[t + 1] + H[t + 1]) + climb[t]
+        H[t] = M.min(1)
+        P[t] = M.argmin(1)
+    v = beta * S[0] + F[0] + H[0]
+    i = int(np.argmin(v))
+    if not np.isfinite(v[i]):
+        return np.empty(T, dtype=np.int64), False
+    path = [i]
+    for row in P.tolist():
+        i = row[i]
+        path.append(i)
+    return S[np.arange(T), path], True
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from rightsizing import (
     restrict_phi,
     solve_poly,
     stretch_prediction,
-    warm_kernels,
 )
 
 REL = 1e-9
@@ -84,7 +83,6 @@ def test_criterion_2_exhaustive_ground_truth():
 
 
 def test_criterion_3_polynomial_scaling():
-    warm_kernels()
     rng = np.random.default_rng(10_003)
     T = 10_000
 

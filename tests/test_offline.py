@@ -11,6 +11,7 @@ from conftest import (
 )
 from rightsizing import (
     AlignmentError,
+    InfeasibleError,
     ProblemInstance,
     ShapeError,
     TableCost,
@@ -24,10 +25,8 @@ from rightsizing import (
     round_fractional,
     scale_psi,
     solve_poly,
-    warm_kernels,
 )
-
-warm_kernels()
+from rightsizing.offline import _window_dp
 
 REL = 1e-9
 
@@ -104,6 +103,109 @@ def test_dp_result_cost_is_reevaluated():
     inst = random_table_instance(rng, 6, 5)
     res = dp_optimal(inst)
     assert res.cost == eval_cost(inst, res.schedule).total
+
+
+@pytest.mark.parametrize("dead_slot", [0, 1, 2])
+def test_dp_columns_infeasible_when_a_slot_is_all_inf(dead_slot):
+    inf = np.inf
+    tables = [TableCost([1, 0, 1, 2]) for _ in range(3)]
+    tables[dead_slot] = TableCost([inf, inf, 0, 0])
+    inst = ProblemInstance(3, 3, 1.0, tuple(tables))
+    cols = [(0, 1, 2, 3)] * 3
+    cols[dead_slot] = (0, 1)
+    with pytest.raises(InfeasibleError):
+        dp_optimal(inst, columns=cols)
+
+
+# ---------------------------------------------------------------------------
+# window kernel
+# ---------------------------------------------------------------------------
+
+
+def _window_dp_reference(S, F, beta):
+    """Scalar triple loop: suffix values, then a forward greedy keeping the
+    first strict minimum.  The vectorized kernel must match it exactly."""
+    T, W = S.shape
+    H = np.zeros((T, W), dtype=np.float64)
+    c = np.empty(W, dtype=np.float64)
+    for t in range(T - 2, -1, -1):
+        for j in range(W):
+            c[j] = F[t + 1, j] + H[t + 1, j]
+        for i in range(W):
+            si = S[t, i]
+            best = np.inf
+            for j in range(W):
+                d = S[t + 1, j] - si
+                v = c[j] + (beta * d if d > 0 else 0.0)
+                if v < best:
+                    best = v
+            H[t, i] = best
+    x = np.empty(T, dtype=np.int64)
+    best = np.inf
+    bi = 0
+    for i in range(W):
+        v = beta * S[0, i] + F[0, i] + H[0, i]
+        if v < best:
+            best = v
+            bi = i
+    if not np.isfinite(best):
+        return x, False
+    x[0] = S[0, bi]
+    prev = x[0]
+    for t in range(1, T):
+        best = np.inf
+        bi = 0
+        for i in range(W):
+            d = S[t, i] - prev
+            v = F[t, i] + H[t, i] + (beta * d if d > 0 else 0.0)
+            if v < best:
+                best = v
+                bi = i
+        x[t] = S[t, bi]
+        prev = x[t]
+    return x, True
+
+
+def _random_window(rng):
+    """Candidate states clipped to [0, m] around random centres (so edge
+    columns repeat), with per-state costs that are small dyadic numbers
+    (many ties) or floats, some of them infinite or NaN."""
+    T = int(rng.choice([1, int(rng.integers(2, 25))]))
+    W = int(rng.choice([1, 2, 3, 5]))
+    m = int(rng.integers(1, 40))
+    half = int(rng.integers(1, 8))
+    centres = rng.integers(0, m + 1, size=(T, 1))
+    offsets = np.arange(W, dtype=np.int64) - W // 2
+    S = np.clip(centres + offsets * half, 0, m)
+    if rng.random() < 0.5:
+        vals = rng.integers(0, 8, size=(T, m + 1)) / 4.0
+        beta = float(rng.integers(1, 9)) / 4.0
+    else:
+        vals = rng.uniform(0.0, 5.0, size=(T, m + 1))
+        beta = float(rng.uniform(0.01, 5.0))
+    vals[rng.random(vals.shape) < rng.choice([0.0, 0.2, 0.6])] = np.inf
+    vals[rng.random(vals.shape) < rng.choice([0.0, 0.0, 0.1])] = np.nan
+    return S, np.take_along_axis(vals, S, axis=1), beta
+
+
+def test_window_kernel_matches_scalar_reference():
+    rng = np.random.default_rng(30)
+    seen = {"feasible": 0, "infeasible": 0, "inf": 0, "nan": 0, "T=1": 0,
+            "W=1": 0, "dup": 0}
+    for _ in range(1200):
+        S, F, beta = _random_window(rng)
+        x, ok = _window_dp(S, F, beta)
+        x_ref, ok_ref = _window_dp_reference(S, F, beta)
+        assert ok == ok_ref
+        if ok:
+            assert np.array_equal(x, x_ref)
+        seen["feasible" if ok else "infeasible"] += 1
+        seen["inf"] += bool(np.isinf(F).any())
+        seen["nan"] += bool(np.isnan(F).any())
+        seen["T=1"] += S.shape[0] == 1
+        seen["W=1"] += S.shape[1] == 1
+        seen["dup"] += bool(np.any(S[:, 1:] == S[:, :-1]))
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------
