@@ -11,7 +11,6 @@ from .model import (
     DomainError,
     InfeasibleError,
     ProblemInstance,
-    RestrictedInstance,
     RestrictedLoadCost,
     ScaledCost,
     SchemaError,
@@ -19,7 +18,6 @@ from .model import (
     StretchedCopyCost,
     TableCost,
     eval_cost,
-    eval_restricted,
     extend_continuous,
     instance_from_json,
     instance_to_json,

@@ -23,11 +23,10 @@ from .model import (
     ConfigError,
     CostFunction,
     ProblemInstance,
-    RestrictedInstance,
     RestrictedLoadCost,
     StretchedCopyCost,
     eval_cost,
-    eval_restricted,
+    switching_cost,
 )
 from .offline import dp_optimal
 from .randomized import (
@@ -79,7 +78,7 @@ def adv_continuous_step(a_t: float, b_t: float, eps: float) -> CostFunction:
 
 
 def build_restricted(labels: Sequence[str], variant: str, eps: float,
-                     k: float = 2.0, *, convention: str = "symmetric") -> RestrictedInstance:
+                     k: float = 2.0, *, convention: str = "symmetric") -> ProblemInstance:
     """Load-based instance replaying a two-level workload.
 
     The discrete embedding plays on two servers with loads 0.5 / 1 so the
@@ -89,18 +88,17 @@ def build_restricted(labels: Sequence[str], variant: str, eps: float,
     if not labels:
         raise ConfigError("need at least one workload label")
     if variant == "discrete":
-        unit = lambda z: eps * abs(1.0 - 2.0 * z)  # noqa: E731
-        loads = tuple(0.5 if lab == TOWARD_ZERO else 1.0 for lab in labels)
-        return RestrictedInstance(len(labels), 2, DUEL_BETA, unit, loads,
-                                  convention=convention)
-    if variant == "continuous":
+        m, slope_k = 2, 2.0
+        loads = [0.5 if lab == TOWARD_ZERO else 1.0 for lab in labels]
+    elif variant == "continuous":
         if k < 1:
             raise ConfigError("k must be >= 1")
-        unit = lambda z: eps * abs(1.0 - k * z)  # noqa: E731
-        loads = tuple(0.0 if lab == TOWARD_ZERO else 1.0 / k for lab in labels)
-        return RestrictedInstance(len(labels), 1, DUEL_BETA, unit, loads,
-                                  convention=convention)
-    raise ConfigError(f"unknown restricted variant {variant!r}")
+        m, slope_k = 1, k
+        loads = [0.0 if lab == TOWARD_ZERO else 1.0 / k for lab in labels]
+    else:
+        raise ConfigError(f"unknown restricted variant {variant!r}")
+    fns = tuple(RestrictedLoadCost(load, eps=eps, slope_k=slope_k) for load in loads)
+    return ProblemInstance(len(labels), m, DUEL_BETA, fns, convention=convention)
 
 
 def stretch_prediction(instance: ProblemInstance, w: int, m_factor: int) -> ProblemInstance:
@@ -245,6 +243,15 @@ def _open_grid_opt(slots: Sequence[Sequence[tuple[float, float]]], beta: float) 
     return min(cur.values())
 
 
+def _duel_moves(states: Sequence[float], *, close: bool = False) -> tuple[np.ndarray, float]:
+    """Per-slot move sizes of a duel trajectory that starts idle (and, with
+    ``close``, powers down after the last slot), and their switching cost."""
+    d = np.diff(np.concatenate(([0.0], states, [0.0] if close else [])))
+    moves = np.abs(d)
+    return moves, switching_cost(DUEL_BETA, "symmetric", float(np.maximum(d, 0).sum()),
+                                 float(moves.sum()))
+
+
 def _duel_discrete(policy, config: AdversaryConfig) -> DuelReport:
     eps, T = config.eps, config.T
     policy = _resolve_policy(policy, "discrete", eps, m=1)
@@ -305,8 +312,8 @@ def _duel_continuous(policy, config: AdversaryConfig,
                 break
     arr = np.array(states, dtype=np.float64)
     ops = math.fsum(pull_cost(lab, eps)(s) for lab, s in zip(labels, arr))
-    moves = np.abs(np.diff(np.concatenate(([0.0], arr))))
-    policy_cost = ops + (DUEL_BETA / 2.0) * float(moves.sum())
+    moves, switching = _duel_moves(arr)
+    policy_cost = ops + switching
     slots = [[(0.0, pull_cost(lab, eps)(0.0)), (1.0, pull_cost(lab, eps)(1.0))]
              for lab in labels]
     opt = _open_grid_opt(slots, DUEL_BETA)
@@ -344,9 +351,8 @@ def _duel_randomized(policy, config: AdversaryConfig) -> DuelReport:
     mean_cost = float(ens.costs.mean())
     opt = dp_optimal(instance)
     arr = np.array(xbar)
-    moves = np.abs(np.diff(np.concatenate(([0.0], arr, [0.0]))))
-    frac_cost = math.fsum(f(v) for f, v in zip(fns, arr)) \
-        + (DUEL_BETA / 2.0) * float(moves.sum())
+    moves, switching = _duel_moves(arr, close=True)
+    frac_cost = math.fsum(f(v) for f, v in zip(fns, arr)) + switching
     digest, counts = _digest(labels)
     return DuelReport(
         variant="randomized", policy="random-round",
@@ -381,20 +387,16 @@ def _duel_restricted_discrete(config: AdversaryConfig) -> DuelReport:
     for _ in range(T):
         lab = TOWARD_ONE if shadow == 0 else TOWARD_ZERO
         load = 1.0 if lab == TOWARD_ONE else 0.5
-        f = RestrictedLoadCost(None, load, eps=eps, slope_k=2.0)
+        f = RestrictedLoadCost(load, eps=eps, slope_k=2.0)
         x = int(policy.step(f))
         labels.append(lab)
         fns.append(f)
         xs.append(x)
         shadow = x - 1
-    unit = fns[0].unit
-    rinst = RestrictedInstance(T, 2, DUEL_BETA, unit,
-                               tuple(f.load for f in fns), convention="symmetric")
-    general_view = ProblemInstance(T, 2, DUEL_BETA, tuple(fns),
-                                   convention="symmetric")
+    instance = ProblemInstance(T, 2, DUEL_BETA, tuple(fns), convention="symmetric")
     schedule = np.array(xs, dtype=np.int64)
-    policy_cb = eval_restricted(rinst, schedule)
-    opt = dp_optimal(general_view)
+    policy_cb = eval_cost(instance, schedule)
+    opt = dp_optimal(instance)
     # Interior identity: load-model cost at x equals the two-level cost at x-1.
     dev = max(abs(f(x) - pull_cost(lab, eps)(x - 1))
               for x, f, lab in zip(xs, fns, labels))
@@ -411,7 +413,7 @@ def _duel_restricted_discrete(config: AdversaryConfig) -> DuelReport:
         embedding_max_dev=float(dev),
         general_policy_cost=general.policy_cost,
         general_opt_cost=general.opt_cost, general_ratio=general.ratio,
-        instance=general_view,
+        instance=instance,
     )
 
 
@@ -436,7 +438,7 @@ def _duel_restricted_continuous(config: AdversaryConfig) -> DuelReport:
         lab_f = adv_continuous_step(a, ref.b, eps)
         lab = TOWARD_ONE if lab_f.center == 1.0 else TOWARD_ZERO
         load = 0.0 if lab == TOWARD_ZERO else 1.0 / k
-        f = RestrictedLoadCost(None, load, eps=eps, slope_k=k)
+        f = RestrictedLoadCost(load, eps=eps, slope_k=k)
         algorithm_b_step(ref, lab)
         a = float(policy.step(f))
         labels.append(lab)
@@ -450,9 +452,8 @@ def _duel_restricted_continuous(config: AdversaryConfig) -> DuelReport:
                 termination = "hit1"
                 break
     ops = [f(s) for f, s in zip(fns, states)]
-    arr = np.array(states)
-    moves = np.abs(np.diff(np.concatenate(([0.0], arr))))
-    policy_cost = math.fsum(ops) + (DUEL_BETA / 2.0) * float(moves.sum())
+    moves, switching = _duel_moves(states)
+    policy_cost = math.fsum(ops) + switching
     dev = max(abs(o - pull_cost(lab, eps)(s))
               for o, lab, s in zip(ops, labels, states))
     slots = []

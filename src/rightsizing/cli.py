@@ -36,6 +36,7 @@ from .model import (
     eval_cost,
     instance_to_json,
     load_instance,
+    switching_cost,
 )
 from .offline import dp_optimal, fractional_grid_optimum, solve_poly
 from .randomized import round_step
@@ -99,54 +100,47 @@ def cmd_solve(args) -> int:
 
 
 def _simulate_rows(instance: ProblemInstance, policy: str, seed: int):
-    """Per-step rows (t, lower, upper, state, slot cost, cumulative cost)."""
-    beta = instance.beta
-    half = instance.convention == "symmetric"
-    rows = []
-    cum = 0.0
+    """Per-step rows (t, lower, upper, state, slot cost, cumulative cost),
+    the policy's schedule, and the offline optimum if the policy solved it."""
+    opt = None
+    bands = [("", "")] * instance.T
     if policy == "lcp":
-        state = lcp_init(instance.m, beta)
-        prev = 0
-        for t, f in enumerate(instance.functions, start=1):
-            d = lcp_step(state, f)
-            op = f(d.chosen)
-            move = beta * 0.5 * abs(d.chosen - prev) if half else beta * max(d.chosen - prev, 0)
-            cum += op + move
-            rows.append((t, d.lower, d.upper, d.chosen, op, cum))
-            prev = d.chosen
-        schedule = [r[3] for r in rows]
+        state = lcp_init(instance.m, instance.beta)
+        decisions = [lcp_step(state, f) for f in instance.functions]
+        schedule = [d.chosen for d in decisions]
+        bands = [(d.lower, d.upper) for d in decisions]
     elif policy == "random-round":
         xbar = fractional_grid_optimum(instance, 2)
         rng = np.random.default_rng(seed)
-        prev, prev_xbar = 0, 0.0
-        for t, f in enumerate(instance.functions, start=1):
-            x = round_step(prev, prev_xbar, float(xbar[t - 1]), rng)
-            op = f(x)
-            move = beta * 0.5 * abs(x - prev) if half else beta * max(x - prev, 0)
-            cum += op + move
-            rows.append((t, "", "", x, op, cum))
-            prev, prev_xbar = x, float(xbar[t - 1])
-        schedule = [r[3] for r in rows]
+        schedule, x, prev_xbar = [], 0, 0.0
+        for xbar_t in xbar.tolist():
+            x = round_step(x, prev_xbar, xbar_t, rng)
+            schedule.append(x)
+            prev_xbar = xbar_t
     elif policy == "offline":
-        schedule = [int(v) for v in dp_optimal(instance).schedule]
-        prev = 0
-        for t, (f, x) in enumerate(zip(instance.functions, schedule), start=1):
-            op = f(x)
-            move = beta * 0.5 * abs(x - prev) if half else beta * max(x - prev, 0)
-            cum += op + move
-            rows.append((t, "", "", x, op, cum))
-            prev = x
+        opt = dp_optimal(instance)
+        schedule = [int(v) for v in opt.schedule]
     else:
         raise ConfigError(f"unknown policy {policy!r}")
-    return rows, schedule
+    rows = []
+    cum = 0.0
+    prev = 0
+    for t, (f, x, (lo, hi)) in enumerate(zip(instance.functions, schedule, bands), start=1):
+        op = f(x)
+        cum += op + switching_cost(instance.beta, instance.convention,
+                                   max(x - prev, 0), abs(x - prev))
+        rows.append((t, lo, hi, x, op, cum))
+        prev = x
+    return rows, schedule, opt
 
 
 def cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
-    rows, schedule = _simulate_rows(instance, args.policy, args.seed)
+    rows, schedule, opt = _simulate_rows(instance, args.policy, args.seed)
     total = eval_cost(instance, schedule).total
-    opt = dp_optimal(instance).cost
-    ratio = total / opt if opt > 0 else (1.0 if total == 0 else math.inf)
+    if opt is None:
+        opt = dp_optimal(instance)
+    ratio = total / opt.cost if opt.cost > 0 else (1.0 if total == 0 else math.inf)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "x_L", "x_U", "x_policy", "f_t_cost", "cum_cost"])

@@ -60,8 +60,9 @@ class CostFunction:
     """Evaluable operating-cost function on integer server counts.
 
     Subclasses implement ``__call__`` for a single state and may override
-    ``eval_grid`` with a vectorized version.  Values must be non-negative;
-    ``math.inf`` marks states that are infeasible for the slot.
+    ``eval_grid`` with a vectorized version, and ``rows`` with a batched
+    one.  Values must be non-negative; ``math.inf`` marks states that are
+    infeasible for the slot.
     """
 
     kind = "abstract"
@@ -72,6 +73,13 @@ class CostFunction:
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
         return np.array([self(int(v)) for v in np.asarray(xs).ravel()],
                         dtype=np.float64).reshape(np.shape(xs))
+
+    @classmethod
+    def rows(cls, fns: Sequence["CostFunction"]) -> Callable[[np.ndarray], np.ndarray]:
+        """Evaluator ``S -> F`` with ``F[r, i] = fns[r](S[r, i])`` for slots of
+        this kind; overrides gather the slots' parameters once up front."""
+        return lambda S: np.array([f.eval_grid(s) for f, s in zip(fns, S)],
+                                  dtype=np.float64)
 
 
 class TableCost(CostFunction):
@@ -89,6 +97,14 @@ class TableCost(CostFunction):
 
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
         return self.values[np.asarray(xs, dtype=np.int64)]
+
+    @classmethod
+    def rows(cls, fns):
+        if len({f.values.size for f in fns}) > 1:
+            return super().rows(fns)
+        V = np.stack([f.values for f in fns])
+        r = np.arange(len(fns))[:, None]
+        return lambda S: V[r, S]
 
 
 class AffineAbsCost(CostFunction):
@@ -108,26 +124,27 @@ class AffineAbsCost(CostFunction):
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
         return self.eps * np.abs(np.asarray(xs, dtype=np.float64) - self.center)
 
+    @classmethod
+    def rows(cls, fns):
+        eps = np.array([f.eps for f in fns])[:, None]
+        cen = np.array([f.center for f in fns])[:, None]
+        return lambda S: eps * np.abs(S - cen)
+
 
 class RestrictedLoadCost(CostFunction):
-    """Cost of spreading a load over x servers: ``x * unit(load / x)``.
+    """Cost of spreading a load over x servers: ``x * unit(load / x)`` with
+    the unit-server cost ``unit(z) = eps * |1 - slope_k * z|`` at
+    utilisation z in [0, 1] (the restricted model of Lin et al.).
 
-    ``unit`` is the convex cost of one server at utilisation z in [0, 1].
     States below the load are infeasible and evaluate to ``inf``; an idle
     slot (x = 0, load = 0) costs nothing.
     """
 
     kind = "restricted"
 
-    def __init__(self, unit: Callable[[float], float] | None, load: float,
-                 *, eps: float | None = None, slope_k: float | None = None):
-        if unit is None:
-            if eps is None or slope_k is None:
-                raise ConfigError("need either a unit function or (eps, slope_k)")
-            unit = lambda z: eps * abs(1.0 - slope_k * z)  # noqa: E731
+    def __init__(self, load: float, *, eps: float, slope_k: float):
         if load < 0:
             raise ConfigError("load must be non-negative")
-        self.unit = unit
         self.load = float(load)
         self.eps = eps
         self.slope_k = slope_k
@@ -137,7 +154,7 @@ class RestrictedLoadCost(CostFunction):
             return math.inf
         if x == 0:
             return 0.0
-        return x * self.unit(self.load / x)
+        return x * (self.eps * abs(1.0 - self.slope_k * (self.load / x)))
 
 
 class ScaledCost(CostFunction):
@@ -230,36 +247,6 @@ class ProblemInstance:
 
 
 @dataclass(frozen=True)
-class RestrictedInstance:
-    """Single-shape variant: one unit-load cost function plus a load per
-    slot, with the feasibility constraint x_t >= load_t."""
-
-    T: int
-    m: int
-    beta: float
-    unit: Callable[[float], float]
-    loads: tuple[float, ...]
-    convention: str = "up_only"
-
-    def __post_init__(self):
-        if len(self.loads) != self.T:
-            raise ShapeError(f"expected {self.T} loads, got {len(self.loads)}")
-        if any(l < 0 for l in self.loads):
-            raise ConfigError("loads must be non-negative")
-        if any(l > self.m for l in self.loads):
-            raise InfeasibleError("a load exceeds the number of servers")
-        if self.convention not in CONVENTIONS:
-            raise ConfigError(f"convention must be one of {CONVENTIONS}")
-        object.__setattr__(self, "loads", tuple(float(l) for l in self.loads))
-
-    def to_general(self) -> ProblemInstance:
-        """General-model view: per-slot load costs, infeasible states -> inf."""
-        fns = tuple(RestrictedLoadCost(self.unit, l) for l in self.loads)
-        return ProblemInstance(self.T, self.m, self.beta, fns,
-                               convention=self.convention)
-
-
-@dataclass(frozen=True)
 class CostBreakdown:
     operating: float
     switching: float
@@ -279,12 +266,16 @@ def as_schedule(x: Iterable[int]) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _switching_cost(beta: float, convention: str, diffs_up: int, diffs_abs: int) -> float:
+def switching_cost(beta, convention: str, up, moved):
+    """Switching cost of a trajectory that powers up ``up`` units and moves
+    ``moved`` units in either direction: ``beta`` per power-up, or half of
+    ``beta`` per unit moved under the symmetric convention.  Works on
+    scalars and on arrays alike."""
     # Single multiply of an integer move count keeps the two conventions
     # bit-identical on closed trajectories.
     if convention == "up_only":
-        return beta * float(diffs_up)
-    return (beta / 2.0) * float(diffs_abs)
+        return beta * up
+    return (beta / 2.0) * moved
 
 
 def eval_cost(instance: ProblemInstance, schedule: Iterable[int]) -> CostBreakdown:
@@ -292,6 +283,7 @@ def eval_cost(instance: ProblemInstance, schedule: Iterable[int]) -> CostBreakdo
 
     The trajectory is closed: x_0 = 0 always, and under the symmetric
     convention the final power-down to x_{T+1} = 0 is charged as well.
+    Raises ``InfeasibleError`` naming the first slot whose cost is not finite.
     """
     x = as_schedule(schedule)
     if x.size != instance.T:
@@ -301,33 +293,15 @@ def eval_cost(instance: ProblemInstance, schedule: Iterable[int]) -> CostBreakdo
     if instance.allowed_step > 1 and np.any(x % instance.allowed_step != 0):
         raise DomainError(f"schedule state not a multiple of {instance.allowed_step}")
     operating = math.fsum(f(int(v)) for f, v in zip(instance.functions, x))
+    if not math.isfinite(operating):
+        for t, (f, v) in enumerate(zip(instance.functions, x), start=1):
+            if not math.isfinite(f(int(v))):
+                raise InfeasibleError(f"x_{t} = {int(v)} is infeasible (cost {f(int(v))})")
     closed = np.concatenate(([0], x, [0]))
     d = np.diff(closed)
     up = int(np.maximum(d[:-1], 0).sum())          # power-ups over t = 1..T
     total_abs = int(np.abs(d).sum())               # both directions, t = 1..T+1
-    switching = _switching_cost(instance.beta, instance.convention, up, total_abs)
-    return CostBreakdown.of(operating, switching)
-
-
-def eval_restricted(instance: RestrictedInstance, schedule: Iterable[int]) -> CostBreakdown:
-    """Cost of a schedule in the restricted model; x_t >= load_t required."""
-    x = as_schedule(schedule)
-    if x.size != instance.T:
-        raise ShapeError(f"schedule length {x.size} != T = {instance.T}")
-    if np.any(x < 0) or np.any(x > instance.m):
-        raise DomainError("schedule state outside [0, m]")
-    for t, (v, load) in enumerate(zip(x, instance.loads), start=1):
-        if v < load:
-            raise InfeasibleError(f"x_{t} = {int(v)} is below the load {load}")
-    terms = []
-    for v, load in zip(x, instance.loads):
-        terms.append(0.0 if v == 0 else v * instance.unit(load / v))
-    operating = math.fsum(terms)
-    closed = np.concatenate(([0], x, [0]))
-    d = np.diff(closed)
-    up = int(np.maximum(d[:-1], 0).sum())
-    total_abs = int(np.abs(d).sum())
-    switching = _switching_cost(instance.beta, instance.convention, up, total_abs)
+    switching = switching_cost(instance.beta, instance.convention, up, total_abs)
     return CostBreakdown.of(operating, switching)
 
 
@@ -361,12 +335,10 @@ class ContinuousEvaluator:
         if np.any(arr < 0) or np.any(arr > inst.m):
             raise DomainError("fractional state outside [0, m]")
         operating = math.fsum(self.operating(t, v) for t, v in enumerate(arr))
-        closed = np.concatenate(([0.0], arr, [0.0]))
-        d = np.diff(closed)
-        if inst.convention == "up_only":
-            switching = inst.beta * float(np.maximum(d[:-1], 0).sum())
-        else:
-            switching = (inst.beta / 2.0) * float(np.abs(d).sum())
+        d = np.diff(np.concatenate(([0.0], arr, [0.0])))
+        switching = switching_cost(inst.beta, inst.convention,
+                                   float(np.maximum(d[:-1], 0).sum()),
+                                   float(np.abs(d).sum()))
         return CostBreakdown.of(operating, switching)
 
 
@@ -447,8 +419,6 @@ def function_to_json(f: CostFunction) -> dict:
     if isinstance(f, AffineAbsCost):
         return {"kind": "affine_abs", "eps": f.eps, "center": f.center}
     if isinstance(f, RestrictedLoadCost):
-        if f.eps is None or f.slope_k is None:
-            raise SchemaError("only (eps, slope_k) load costs are serializable")
         return {"kind": "restricted", "eps": f.eps, "slope_k": f.slope_k,
                 "lambda": f.load}
     raise SchemaError(f"cost kind {f.kind!r} has no JSON form")
@@ -464,8 +434,7 @@ def function_from_json(doc: dict) -> CostFunction:
         if kind == "affine_abs":
             return AffineAbsCost(float(doc["eps"]), float(doc["center"]))
         if kind == "restricted":
-            return RestrictedLoadCost(None, float(doc["lambda"]),
-                                      eps=float(doc["eps"]),
+            return RestrictedLoadCost(float(doc["lambda"]), eps=float(doc["eps"]),
                                       slope_k=float(doc["slope_k"]))
     except KeyError as exc:
         raise SchemaError(f"function kind {kind!r} is missing field {exc}") from exc
@@ -475,12 +444,11 @@ def function_from_json(doc: dict) -> CostFunction:
 
 
 def instance_to_json(instance: ProblemInstance) -> dict:
-    conv = "up_only" if instance.convention == "up_only" else "symmetric"
     return {
         "T": instance.T,
         "m": instance.m,
         "beta": instance.beta,
-        "convention": conv,
+        "convention": instance.convention,
         "functions": [function_to_json(f) for f in instance.functions],
     }
 
@@ -492,8 +460,9 @@ def instance_from_json(doc: dict) -> ProblemInstance:
         if field not in doc:
             raise SchemaError(f"missing field {field!r}")
     conv = doc["convention"]
-    if conv not in ("up_only", "symmetric"):
-        raise SchemaError(f"convention must be 'up_only' or 'symmetric', got {conv!r}")
+    if conv not in CONVENTIONS:
+        raise SchemaError(f"convention must be {' or '.join(map(repr, CONVENTIONS))}, "
+                          f"got {conv!r}")
     if not isinstance(doc["functions"], list):
         raise SchemaError("'functions' must be an array")
     try:
@@ -504,9 +473,13 @@ def instance_from_json(doc: dict) -> ProblemInstance:
         raise SchemaError(str(exc)) from exc
     fns = tuple(function_from_json(d) for d in doc["functions"])
     try:
-        return ProblemInstance(T, m, beta, fns, convention=conv)
+        instance = ProblemInstance(T, m, beta, fns, convention=conv)
     except (ConfigError, ShapeError) as exc:
         raise SchemaError(str(exc)) from exc
+    for t, f in enumerate(fns, start=1):
+        if isinstance(f, TableCost) and f.values.size != m + 1:
+            raise SchemaError(f"f_{t}: table has {f.values.size} entries, expected {m + 1}")
+    return instance
 
 
 def load_instance(path: str) -> ProblemInstance:

@@ -47,49 +47,32 @@ class SolveResult:
 
 
 def evaluate_rows(functions: Sequence[CostFunction], states: np.ndarray) -> np.ndarray:
-    """Operating costs for one candidate row of states per slot.
-
-    Consecutive runs of V-shaped functions are evaluated in one vectorized
-    sweep; everything else falls back to per-slot grid evaluation.
-    """
-    T, _ = states.shape
-    out = np.empty(states.shape, dtype=np.float64)
-    t = 0
-    while t < T:
-        if isinstance(functions[t], AffineAbsCost):
-            t2 = t
-            while t2 < T and isinstance(functions[t2], AffineAbsCost):
-                t2 += 1
-            eps = np.array([functions[i].eps for i in range(t, t2)])
-            cen = np.array([functions[i].center for i in range(t, t2)])
-            out[t:t2] = eps[:, None] * np.abs(states[t:t2] - cen[:, None])
-            t = t2
-        else:
-            out[t] = functions[t].eval_grid(states[t])
-            t += 1
-    return out
+    """Operating costs for one candidate row of states per slot."""
+    return _row_evaluator(functions)(states)
 
 
 def _row_evaluator(functions: Sequence[CostFunction]):
-    """Reusable column evaluator with per-slot parameters gathered once,
-    so repeated refinement passes pay only vectorized work."""
-    if all(isinstance(f, AffineAbsCost) for f in functions):
-        eps = np.array([f.eps for f in functions])[:, None]
-        cen = np.array([f.center for f in functions])[:, None]
-        return lambda S: eps * np.abs(S - cen)
-    if all(isinstance(f, PaddedCost) and isinstance(f.inner, AffineAbsCost)
-           for f in functions):
-        eps = np.array([f.inner.eps for f in functions])[:, None]
-        cen = np.array([f.inner.center for f in functions])[:, None]
-        slope = np.array([f.slope for f in functions])[:, None]
-        m0 = functions[0].m_orig
+    """Reusable row evaluator ``S -> F`` with ``F[t, i] = f_t(S[t, i])``.
 
-        def padded_rows(S):
-            inner = eps * np.abs(np.minimum(S, m0) - cen)
-            return np.where(S <= m0, inner, S * slope)
+    Slots are grouped by cost kind and each kind's ``rows`` gathers its
+    parameters once, so repeated refinement passes pay only vectorized work.
+    """
+    kinds = [type(f) for f in functions]
+    if len(set(kinds)) == 1:
+        return kinds[0].rows(functions)
+    groups: dict[type, list[int]] = {}
+    for t, kind in enumerate(kinds):
+        groups.setdefault(kind, []).append(t)
+    parts = [(np.array(ts), kind.rows([functions[t] for t in ts]))
+             for kind, ts in groups.items()]
 
-        return padded_rows
-    return lambda S: evaluate_rows(functions, S)
+    def rows(S):
+        F = np.empty(S.shape, dtype=np.float64)
+        for ts, kind_rows in parts:
+            F[ts] = kind_rows(S[ts])
+        return F
+
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +187,6 @@ def dp_optimal(instance: ProblemInstance,
             raise InfeasibleError("no feasible schedule exists")
         probed = S.size
     cost = eval_cost(instance, x).total
-    if not math.isfinite(cost):
-        raise InfeasibleError("no feasible schedule exists")
     return SolveResult(schedule=x, cost=cost, iterations=1, states_probed=probed)
 
 
@@ -229,6 +210,13 @@ class PaddedCost(CostFunction):
         xs = np.asarray(xs)
         inside = self.inner.eval_grid(np.minimum(xs, self.m_orig))
         return np.where(xs <= self.m_orig, inside, xs * self.slope)
+
+    @classmethod
+    def rows(cls, fns):
+        inner = _row_evaluator([f.inner for f in fns])
+        m0 = np.array([f.m_orig for f in fns])[:, None]
+        slope = np.array([f.slope for f in fns])[:, None]
+        return lambda S: np.where(S <= m0, inner(np.minimum(S, m0)), S * slope)
 
 
 def pad_to_power_of_two(instance: ProblemInstance, eps_pad: float = 1.0) -> ProblemInstance:
@@ -296,8 +284,6 @@ def solve_poly(instance: ProblemInstance, eps_pad: float = 1.0) -> SolveResult:
     if int(x.max()) > instance.m:
         raise ContractError("padded state survived into the final schedule")
     cost = eval_cost(instance, x).total
-    if not math.isfinite(cost):
-        raise InfeasibleError("no feasible schedule exists")
     return SolveResult(schedule=x, cost=cost, iterations=K + 1, states_probed=probed)
 
 

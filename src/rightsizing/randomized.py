@@ -22,9 +22,10 @@ from .model import (
     CostFunction,
     DomainError,
     ProblemInstance,
+    eval_cost,
     extend_continuous,
+    switching_cost,
 )
-from .model import eval_cost
 
 #: Workload labels for two-level instances: costs pulling toward state 0
 #: (cheap to idle) or toward state 1 (cheap to run one server).
@@ -257,9 +258,6 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
         x = x_new
         prev_xbar = float(arr[t])
     downs += x  # closing power-down to the all-asleep end state
-    if instance.convention == "up_only":
-        switching = instance.beta * ups.astype(np.float64)
-    else:
-        switching = (instance.beta / 2.0) * (ups + downs).astype(np.float64)
+    switching = switching_cost(instance.beta, instance.convention, ups, ups + downs)
     return EnsembleResult(costs=operating + switching, upper_frequency=upper,
                           seed=seed)

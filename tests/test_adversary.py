@@ -13,7 +13,6 @@ from rightsizing import (
     build_restricted,
     dp_optimal,
     eval_cost,
-    eval_restricted,
     pull_cost,
     run_duel,
     run_scripted_workload,
@@ -51,12 +50,12 @@ def test_restricted_discrete_identity():
     eps = 0.1
     inst = build_restricted([TOWARD_ZERO, TOWARD_ONE], "discrete", eps)
     # toward0 slot, x=2: operating eps*|2-1| = eps = pull0(1)
-    assert 2 * inst.unit(inst.loads[0] / 2) == pytest.approx(eps, abs=1e-15)
+    assert inst.functions[0](2) == pytest.approx(eps, abs=1e-15)
     # toward1 slot, x=2: operating 0 = pull1(1)
-    assert 2 * inst.unit(inst.loads[1] / 2) == pytest.approx(0.0, abs=1e-15)
+    assert inst.functions[1](2) == pytest.approx(0.0, abs=1e-15)
     for x in (1, 2):
         for t, lab in enumerate((TOWARD_ZERO, TOWARD_ONE)):
-            lhs = x * inst.unit(inst.loads[t] / x)
+            lhs = inst.functions[t](x)
             rhs = pull_cost(lab, eps)(x - 1)
             assert abs(lhs - rhs) <= 1e-12
 
@@ -64,11 +63,11 @@ def test_restricted_discrete_identity():
 def test_restricted_continuous_identity():
     eps = 0.1
     inst = build_restricted([TOWARD_ONE, TOWARD_ZERO], "continuous", eps, k=100.0)
-    assert 1 * inst.unit(inst.loads[0] / 1) == pytest.approx(0.0, abs=1e-15)
+    assert inst.functions[0](1) == pytest.approx(0.0, abs=1e-15)
     for x in (0.25, 0.5, 1.0):
-        lhs = x * inst.unit(inst.loads[0] / x)
+        lhs = inst.functions[0](x)
         assert abs(lhs - pull_cost(TOWARD_ONE, eps)(x)) <= 1e-12
-        lhs0 = x * inst.unit(inst.loads[1] / x)
+        lhs0 = inst.functions[1](x)
         assert abs(lhs0 - pull_cost(TOWARD_ZERO, eps)(x)) <= 1e-12
 
 
@@ -77,7 +76,7 @@ def test_restricted_costs_through_eval():
     labels = [TOWARD_ONE, TOWARD_ZERO, TOWARD_ONE]
     inst = build_restricted(labels, "discrete", eps, convention="symmetric")
     x = [2, 1, 2]
-    cb = eval_restricted(inst, x)
+    cb = eval_cost(inst, x)
     shadow = [v - 1 for v in x]
     expected_ops = sum(pull_cost(lab, eps)(s) for lab, s in zip(labels, shadow))
     assert cb.operating == pytest.approx(expected_ops, abs=1e-12)
@@ -195,7 +194,7 @@ def test_restricted_duel_trajectory_shifts_exactly():
         lab = TOWARD_ONE if state == 0 else TOWARD_ZERO
         load = 1.0 if lab == TOWARD_ONE else 0.5
         state = two_level.step(pull_cost(lab, eps))
-        shifted = load_model.step(RestrictedLoadCost(None, load, eps=eps,
+        shifted = load_model.step(RestrictedLoadCost(load, eps=eps,
                                                      slope_k=2.0))
         assert shifted == state + 1
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -92,6 +93,20 @@ def test_solve_infeasible_exit_3(tmp_path, capsys):
     assert main(["solve", path]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algorithm", "poly"],
+    ["solve", "--algorithm", "oracle"],
+    ["simulate", "--policy", "lcp"],
+])
+@pytest.mark.parametrize("size", [2, 4])
+def test_table_of_wrong_length_exit_2(tmp_path, capsys, argv, size):
+    doc = e1_doc()
+    doc["functions"][1] = {"kind": "table", "values": [0.0] * size}
+    path = write_instance(tmp_path, doc)
+    assert main(argv[:1] + [path] + argv[1:]) == 2
+    assert "f_2: table has" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -134,6 +149,18 @@ def test_simulate_offline_ratio_is_one(tmp_path, capsys):
     assert main(["simulate", path, "--policy", "offline"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert float(lines[-1].split(",")[5]) == 1.0
+
+
+def test_simulate_offline_solves_once(tmp_path, monkeypatch, capsys):
+    import rightsizing.cli as cli
+
+    calls = []
+    solve = cli.dp_optimal
+    monkeypatch.setattr(cli, "dp_optimal",
+                        lambda inst: calls.append(inst) or solve(inst))
+    path = write_instance(tmp_path, e1_doc())
+    assert main(["simulate", path, "--policy", "offline"]) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +241,93 @@ def test_bench_lcp_suite(tmp_path):
     assert len(lines) == 4
     for row in lines[1:]:
         assert float(row.split(",")[3]) <= 3.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+# ---------------------------------------------------------------------------
+
+# Digests of the CLI's output files, recorded before the cost-accounting
+# and row-evaluation refactor. The inputs are dyadic and the loads integers
+# (so rounding stays feasible); every sum the outputs report is exact or
+# sequential, so the bytes do not depend on summation order or platform.
+def mixed_doc(convention):
+    return {
+        "T": 8, "m": 6, "beta": 0.75, "convention": convention,
+        "functions": [
+            {"kind": "table", "values": [4, 2.5, 1.5, 1, 1, 1.5, 2.5]},
+            {"kind": "affine_abs", "eps": 0.5, "center": 3.5},
+            {"kind": "restricted", "eps": 0.25, "slope_k": 2.0, "lambda": 2.0},
+            {"kind": "table", "values": [6, 4, 2.5, 1.5, 1, 0.75, 0.5]},
+            {"kind": "affine_abs", "eps": 1.0, "center": 0.0},
+            {"kind": "affine_abs", "eps": 2.0, "center": 1.0},
+            {"kind": "restricted", "eps": 0.5, "slope_k": 1.0, "lambda": 3.0},
+            {"kind": "table", "values": [0, 0.5, 1.5, 3, 5, 7.5, 10.5]},
+        ],
+    }
+
+
+GOLDEN_ADVERSARY = {
+    "discrete-lcp": ["--variant", "discrete", "--policy", "lcp",
+                     "--eps", "0.25", "--T", "40"],
+    "continuous-algorithm-b": ["--variant", "continuous", "--policy",
+                               "algorithm-b", "--eps", "0.25"],
+    "randomized-random-round": ["--variant", "randomized", "--policy",
+                                "random-round", "--eps", "0.25", "--T", "24",
+                                "--runs", "64", "--seed", "3"],
+    "restricted-lcp": ["--variant", "restricted", "--policy", "lcp",
+                       "--eps", "0.25", "--T", "24"],
+    "restricted-algorithm-b": ["--variant", "restricted", "--policy",
+                               "algorithm-b", "--eps", "0.25", "--T", "24"],
+}
+
+GOLDEN_DIGESTS = {
+    "solve-poly-up_only": "78f8d38bcbcfeb79",
+    "solve-oracle-up_only": "44724f6f7ec8d106",
+    "simulate-lcp-up_only": "e2d26714649f8723",
+    "simulate-random-round-up_only": "762af7988d3317ed",
+    "simulate-offline-up_only": "762af7988d3317ed",
+    "solve-poly-symmetric": "78f8d38bcbcfeb79",
+    "solve-oracle-symmetric": "44724f6f7ec8d106",
+    "simulate-lcp-symmetric": "aa66c6bb83c2b131",
+    "simulate-random-round-symmetric": "78b777faa0b002ef",
+    "simulate-offline-symmetric": "78b777faa0b002ef",
+    "adversary-discrete-lcp": "89f9edbf28ab4831",
+    "adversary-continuous-algorithm-b": "23e5f62561444149",
+    "adversary-randomized-random-round": "dbffdad7e84d1660",
+    "adversary-restricted-lcp": "a86d2541af246c43",
+    "adversary-restricted-algorithm-b": "f00a2d080e63e46b",
+    "adversary-restricted-lcp-dump": "6100e2c0aad229a7",
+}
+
+
+def _golden_cases():
+    for conv in ("up_only", "symmetric"):
+        for algo in ("poly", "oracle"):
+            yield f"solve-{algo}-{conv}", conv, ["solve", "--algorithm", algo]
+        for policy in ("lcp", "random-round", "offline"):
+            yield (f"simulate-{policy}-{conv}", conv,
+                   ["simulate", "--policy", policy, "--seed", "5"])
+    for name, argv in GOLDEN_ADVERSARY.items():
+        yield f"adversary-{name}", None, ["adversary"] + argv
+    yield ("adversary-restricted-lcp-dump", None,
+           ["adversary"] + GOLDEN_ADVERSARY["restricted-lcp"]
+           + ["--out", "report.json", "--dump-instance"])
+
+
+@pytest.mark.parametrize("name,convention,argv", [
+    pytest.param(*case, id=case[0]) for case in _golden_cases()])
+def test_output_bytes_match_golden_digest(tmp_path, monkeypatch, name,
+                                          convention, argv):
+    # The digested file is the last flag's value (--out, or --dump-instance).
+    monkeypatch.chdir(tmp_path)
+    if convention is not None:
+        argv = argv[:1] + [write_instance(tmp_path, mixed_doc(convention))] + argv[1:]
+    if argv[-1] != "--dump-instance":
+        argv = argv + ["--out"]
+    assert main(argv + ["golden.out"]) == 0
+    data = (tmp_path / "golden.out").read_bytes()
+    if argv[0] == "solve":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b'  "wall_ms":'))
+    assert hashlib.sha256(data).hexdigest()[:16] == GOLDEN_DIGESTS[name]

@@ -10,13 +10,11 @@ from rightsizing import (
     DomainError,
     InfeasibleError,
     ProblemInstance,
-    RestrictedInstance,
     RestrictedLoadCost,
     ShapeError,
     StretchedCopyCost,
     TableCost,
     eval_cost,
-    eval_restricted,
     extend_continuous,
     instance_from_json,
     instance_to_json,
@@ -69,27 +67,31 @@ def test_eval_cost_errors():
         eval_cost(inst.replace(allowed_step=2), [1, 0])
 
 
+def restricted_instance(m, beta, loads, eps=0.1, slope_k=2.0):
+    fns = tuple(RestrictedLoadCost(l, eps=eps, slope_k=slope_k) for l in loads)
+    return ProblemInstance(len(fns), m, beta, fns)
+
+
 def test_eval_restricted_matches_two_level_costs():
     # loads 0.5 and 1 on two servers reproduce the V-costs one state down
-    unit = lambda z: 0.1 * abs(1.0 - 2.0 * z)  # noqa: E731
-    inst = RestrictedInstance(2, 2, 2.0, unit, (0.5, 1.0))
-    cb = eval_restricted(inst, [2, 2])
+    inst = restricted_instance(2, 2.0, (0.5, 1.0))
+    cb = eval_cost(inst, [2, 2])
     # slot 1: 2 * 0.1 * |1 - 0.5| = 0.1;  slot 2: 2 * 0.1 * |1 - 1| = 0
     assert cb.operating == pytest.approx(0.1, abs=1e-15)
-    cb2 = eval_restricted(inst, [1, 1])
+    cb2 = eval_cost(inst, [1, 1])
     # slot 1: 0.1 * |1 - 1| = 0;  slot 2: 0.1 * |1 - 2| = 0.1
     assert cb2.operating == pytest.approx(0.1, abs=1e-15)
 
 
 def test_eval_restricted_zero_loads():
-    inst = RestrictedInstance(3, 2, 1.0, lambda z: z, (0.0, 0.0, 0.0))
-    assert eval_restricted(inst, [0, 0, 0]).total == 0.0
+    inst = restricted_instance(2, 1.0, (0.0, 0.0, 0.0), eps=1.0, slope_k=1.0)
+    assert eval_cost(inst, [0, 0, 0]).total == 0.0
 
 
 def test_eval_restricted_infeasible_names_first_slot():
-    inst = RestrictedInstance(3, 2, 1.0, lambda z: z, (0.0, 1.5, 1.0))
+    inst = restricted_instance(2, 1.0, (0.0, 1.5, 1.0), eps=1.0, slope_k=1.0)
     with pytest.raises(InfeasibleError, match="x_2"):
-        eval_restricted(inst, [0, 1, 1])
+        eval_cost(inst, [0, 1, 1])
 
 
 def test_continuous_extension_interpolates():
@@ -141,10 +143,10 @@ def test_stretched_copies_sum_back():
 
 
 def test_restricted_load_cost_edges():
-    f = RestrictedLoadCost(None, 1.0, eps=0.1, slope_k=2.0)
+    f = RestrictedLoadCost(1.0, eps=0.1, slope_k=2.0)
     assert f(0) == math.inf
     assert f(1) == pytest.approx(0.1)
-    g = RestrictedLoadCost(None, 0.0, eps=0.1, slope_k=2.0)
+    g = RestrictedLoadCost(0.0, eps=0.1, slope_k=2.0)
     assert g(0) == 0.0
 
 
@@ -153,7 +155,7 @@ def test_json_round_trip(tmp_path):
         3, 4, 1.5,
         (TableCost([0, 1, 2, 3, 4]),
          AffineAbsCost(0.25, 2.0),
-         RestrictedLoadCost(None, 1.0, eps=0.1, slope_k=2.0)),
+         RestrictedLoadCost(1.0, eps=0.1, slope_k=2.0)),
         convention="symmetric")
     doc = instance_to_json(inst)
     text = json.dumps(doc)

@@ -430,7 +430,7 @@ def test_solvers_agree_on_load_constrained_instances():
         T = int(rng.integers(1, 10))
         m = int(rng.integers(2, 11))
         fns = tuple(
-            RestrictedLoadCost(None, float(rng.uniform(0, m / 2)),
+            RestrictedLoadCost(float(rng.uniform(0, m / 2)),
                                eps=float(rng.uniform(0.1, 2.0)),
                                slope_k=float(rng.integers(1, 4)))
             for _ in range(T))
@@ -470,3 +470,54 @@ def test_window_and_grid_tie_breaks_agree_on_integer_data():
         a = dp_optimal(inst)
         b = dp_optimal(inst, columns=[tuple(range(m + 1))] * T)
         assert np.array_equal(a.schedule, b.schedule)
+
+
+# ---------------------------------------------------------------------------
+# row evaluation
+# ---------------------------------------------------------------------------
+
+
+def test_row_evaluators_match_per_slot_eval_grid():
+    from rightsizing import (AffineAbsCost, RestrictedLoadCost, ScaledCost,
+                             StretchedCopyCost)
+    from rightsizing.offline import PaddedCost, _row_evaluator, evaluate_rows
+
+    rng = np.random.default_rng(23)
+    m = 8
+    tables = [convex_table(rng, m) for _ in range(3)]
+    affines = [AffineAbsCost(0.75, 2.5), AffineAbsCost(1.5, 6.0)]
+    padded = [PaddedCost(tables[0], 5, 1.0), PaddedCost(affines[0], 5, 0.5)]
+    mixed = [*tables, *affines,
+             RestrictedLoadCost(3.0, eps=0.5, slope_k=2.0),
+             RestrictedLoadCost(0.0, eps=0.25, slope_k=1.0),
+             *padded, ScaledCost(tables[1], 3.0), StretchedCopyCost(affines[1], 4)]
+    # one kind per list, padding over two inner kinds, then mixed lists
+    slot_lists = [tables, affines, padded, mixed]
+    slot_lists += [[mixed[i] for i in rng.integers(0, len(mixed), size=15)]
+                   for _ in range(20)]
+    infs = 0
+    for fns in slot_lists:
+        # clipping the draws to [0, m] repeats states within a row
+        S = np.sort(np.clip(rng.integers(-3, m + 4, size=(len(fns), 5)), 0, m), axis=1)
+        expected = np.array([f.eval_grid(s) for f, s in zip(fns, S)])
+        assert np.array_equal(_row_evaluator(fns)(S), expected)
+        assert np.array_equal(evaluate_rows(fns, S), expected)
+        infs += int(np.isinf(expected).sum())
+    assert infs > 0
+
+
+def test_eval_cost_names_first_infeasible_slot():
+    from rightsizing import RestrictedLoadCost
+
+    fns = (TableCost([0, 1, 2, 3]),
+           RestrictedLoadCost(1.0, eps=0.5, slope_k=1.0),
+           TableCost([np.inf, 0, 0, 0]),
+           RestrictedLoadCost(2.0, eps=0.5, slope_k=1.0))
+    inst = ProblemInstance(4, 3, 1.0, fns)
+    with pytest.raises(InfeasibleError, match=r"^x_2 = 0 "):
+        eval_cost(inst, [0, 0, 0, 0])
+    with pytest.raises(InfeasibleError, match=r"^x_3 = 0 "):
+        eval_cost(inst, [0, 1, 0, 1])
+    with pytest.raises(InfeasibleError, match=r"^x_4 = 1 "):
+        eval_cost(inst, [0, 1, 1, 1])
+    assert eval_cost(inst, [0, 1, 1, 2]).total == 2.0
