@@ -168,8 +168,6 @@ class AdversaryConfig:
     T: int | None = None
     seed: int = 0
     n_runs: int = 400
-    stop_at_boundary: bool = True
-    slope_k: float | None = None
 
     def __post_init__(self):
         if not (0 < self.eps <= 1):
@@ -303,13 +301,9 @@ def _duel_continuous(policy, config: AdversaryConfig,
         algorithm_b_step(ref, lab)
         a = float(policy.step(f))
         states.append(a)
-        if config.stop_at_boundary:
-            if a <= _BOUNDARY_TOL:
-                termination = "hit0"
-                break
-            if a >= 1.0 - _BOUNDARY_TOL:
-                termination = "hit1"
-                break
+        if a <= _BOUNDARY_TOL or a >= 1.0 - _BOUNDARY_TOL:
+            termination = "hit0" if a <= _BOUNDARY_TOL else "hit1"
+            break
     arr = np.array(states, dtype=np.float64)
     ops = math.fsum(pull_cost(lab, eps)(s) for lab, s in zip(labels, arr))
     moves, switching = _duel_moves(arr)
@@ -424,11 +418,7 @@ def _duel_restricted_continuous(config: AdversaryConfig) -> DuelReport:
     non-idle state stays feasible; costs coincide with the two-level duel.
     """
     eps = config.eps
-    k = config.slope_k
-    if k is None:
-        k = float(1 << max(1, math.ceil(math.log2(2.0 / eps))))
-    if k < 2.0 / eps:
-        raise ConfigError("slope_k must be at least 2/eps to keep the policy feasible")
+    k = float(1 << max(1, math.ceil(math.log2(2.0 / eps))))
     policy = AlgorithmB(eps)
     ref = AlgorithmBState(eps)
     labels, states, fns = [], [], []
@@ -444,30 +434,19 @@ def _duel_restricted_continuous(config: AdversaryConfig) -> DuelReport:
         labels.append(lab)
         fns.append(f)
         states.append(a)
-        if config.stop_at_boundary:
-            if a <= _BOUNDARY_TOL:
-                termination = "hit0"
-                break
-            if a >= 1.0 - _BOUNDARY_TOL:
-                termination = "hit1"
-                break
+        if a <= _BOUNDARY_TOL or a >= 1.0 - _BOUNDARY_TOL:
+            termination = "hit0" if a <= _BOUNDARY_TOL else "hit1"
+            break
     ops = [f(s) for f, s in zip(fns, states)]
     moves, switching = _duel_moves(states)
     policy_cost = math.fsum(ops) + switching
     dev = max(abs(o - pull_cost(lab, eps)(s))
               for o, lab, s in zip(ops, labels, states))
-    slots = []
-    for f in fns:
-        slot = []
-        for s in (0.0, 1.0 / k, 1.0):
-            if s < f.load:
-                continue
-            slot.append((s, f(s)))
-        slots.append(slot)
+    # States below a slot's load cost inf, which _open_grid_opt skips.
+    slots = [[(s, f(s)) for s in (0.0, 1.0 / k, 1.0)] for f in fns]
     opt = _open_grid_opt(slots, DUEL_BETA)
     general = _duel_continuous(AlgorithmB(eps), AdversaryConfig(
-        eps=eps, variant="continuous", T=config.T, seed=config.seed,
-        stop_at_boundary=config.stop_at_boundary))
+        eps=eps, variant="continuous", T=config.T, seed=config.seed))
     digest, counts = _digest(labels)
     return DuelReport(
         variant="restricted", policy="algorithm-b", eps=eps, beta=DUEL_BETA,
@@ -497,10 +476,8 @@ def run_duel(policy, config: AdversaryConfig) -> DuelReport:
     raise ConfigError(f"unknown variant {config.variant!r}")
 
 
-def run_scripted_workload(policy, labels: Sequence[str], eps: float,
-                          *, stop_at_boundary: bool = True) -> DuelReport:
+def run_scripted_workload(policy, labels: Sequence[str], eps: float) -> DuelReport:
     """Score a fractional policy against a fixed two-level label sequence
     (same open-horizon accounting as the reactive continuous duel)."""
-    config = AdversaryConfig(eps=eps, variant="continuous", T=len(labels),
-                             stop_at_boundary=stop_at_boundary)
+    config = AdversaryConfig(eps=eps, variant="continuous", T=len(labels))
     return _duel_continuous(policy, config, scripted_labels=list(labels))

@@ -47,11 +47,9 @@ class LcpState:
     x_lcp: int = 0
     reach_costs: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     history: list[LcpDecision] = field(default_factory=list)
-    tie_tol: float = TIE_TOL
 
 
-def lcp_init(m: int, beta: float, *, tie_tol: float = TIE_TOL,
-             state_limit: int = DEFAULT_STATE_LIMIT) -> LcpState:
+def lcp_init(m: int, beta: float) -> LcpState:
     """Fresh state: all servers asleep, reach costs seeded with the
     power-up ramp ``beta * x`` so the first step already charges
     switching from the all-asleep start."""
@@ -59,18 +57,18 @@ def lcp_init(m: int, beta: float, *, tie_tol: float = TIE_TOL,
         raise ConfigError("m must be a positive integer")
     if not (beta > 0):
         raise ConfigError("beta must be positive")
-    if m > state_limit:
-        raise ConfigError(f"m = {m} exceeds the dense-state limit {state_limit}")
+    if m > DEFAULT_STATE_LIMIT:
+        raise ConfigError(f"m = {m} exceeds the dense-state limit {DEFAULT_STATE_LIMIT}")
     reach = beta * np.arange(m + 1, dtype=np.float64)
-    return LcpState(m=m, beta=beta, reach_costs=reach, tie_tol=tie_tol)
+    return LcpState(m=m, beta=beta, reach_costs=reach)
 
 
-def _first_within(values: np.ndarray, tol: float) -> int:
-    return int(np.argmax(values <= values.min() + tol))
+def _first_within(values: np.ndarray) -> int:
+    return int(np.argmax(values <= values.min() + TIE_TOL))
 
 
-def _last_within(values: np.ndarray, tol: float) -> int:
-    mask = values <= values.min() + tol
+def _last_within(values: np.ndarray) -> int:
+    mask = values <= values.min() + TIE_TOL
     return int(len(values) - 1 - np.argmax(mask[::-1]))
 
 
@@ -84,8 +82,8 @@ def lcp_step(state: LcpState, f: CostFunction) -> LcpDecision:
     pref = np.minimum.accumulate(prev - beta * xs)
     suf = np.minimum.accumulate(prev[::-1])[::-1]
     reach = np.minimum(beta * xs + pref, suf) + fvals
-    lower = _first_within(reach, state.tie_tol)
-    upper = _last_within(reach - beta * xs, state.tie_tol)
+    lower = _first_within(reach)
+    upper = _last_within(reach - beta * xs)
     chosen = min(max(state.x_lcp, lower), upper)
     state.reach_costs = reach
     state.x_lcp = chosen
@@ -121,13 +119,11 @@ class LcpTrace:
     cost: CostBreakdown
 
 
-def lcp_run(instance: ProblemInstance, *, tie_tol: float = TIE_TOL,
-            state_limit: int = DEFAULT_STATE_LIMIT) -> LcpTrace:
+def lcp_run(instance: ProblemInstance) -> LcpTrace:
     """Stream the whole instance through the policy (power-up charging)."""
     if instance.convention != "up_only":
         raise ConfigError("the lazy policy is defined for the up_only convention")
-    state = lcp_init(instance.m, instance.beta, tie_tol=tie_tol,
-                     state_limit=state_limit)
+    state = lcp_init(instance.m, instance.beta)
     for f in instance.functions:
         lcp_step(state, f)
     schedule = np.array([d.chosen for d in state.history], dtype=np.int64)

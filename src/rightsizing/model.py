@@ -18,10 +18,6 @@ import numpy as np
 
 CONVENTIONS = ("up_only", "symmetric")
 
-#: Default number of probe points used to validate closed-form cost
-#: functions on very large state spaces (full scan below this budget).
-VALIDATE_SAMPLE_BUDGET = 1 << 16
-
 
 class DomainError(ValueError):
     """A state is outside [0, m] or not in the allowed-state set."""
@@ -59,10 +55,10 @@ class SchemaError(ValueError):
 class CostFunction:
     """Evaluable operating-cost function on integer server counts.
 
-    Subclasses implement ``__call__`` for a single state and may override
-    ``eval_grid`` with a vectorized version, and ``rows`` with a batched
-    one.  Values must be non-negative; ``math.inf`` marks states that are
-    infeasible for the slot.
+    Subclasses implement ``__call__`` for one state and ``eval_grid`` for
+    an array of states, and may override ``rows`` and ``violations``.
+    Values must be non-negative and convex; ``math.inf`` marks states that
+    are infeasible for the slot.
     """
 
     kind = "abstract"
@@ -71,8 +67,11 @@ class CostFunction:
         raise NotImplementedError
 
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self(int(v)) for v in np.asarray(xs).ravel()],
-                        dtype=np.float64).reshape(np.shape(xs))
+        raise NotImplementedError
+
+    def violations(self, m: int) -> list[str]:
+        """Why this is not a valid slot cost on the states 0..m (empty if it is)."""
+        return _grid_violations(self.eval_grid(np.arange(m + 1, dtype=np.int64)))
 
     @classmethod
     def rows(cls, fns: Sequence["CostFunction"]) -> Callable[[np.ndarray], np.ndarray]:
@@ -106,6 +105,11 @@ class TableCost(CostFunction):
         r = np.arange(len(fns))[:, None]
         return lambda S: V[r, S]
 
+    def violations(self, m: int) -> list[str]:
+        if self.values.size != m + 1:
+            return [f"table has {self.values.size} entries, expected {m + 1}"]
+        return _grid_violations(self.values)
+
 
 class AffineAbsCost(CostFunction):
     """V-shaped cost ``eps * |x - center|``."""
@@ -129,6 +133,10 @@ class AffineAbsCost(CostFunction):
         eps = np.array([f.eps for f in fns])[:, None]
         cen = np.array([f.center for f in fns])[:, None]
         return lambda S: eps * np.abs(S - cen)
+
+    def violations(self, m: int) -> list[str]:
+        # Convex and non-negative for any finite parameters.
+        return _parameter_violations(eps=self.eps, center=self.center)
 
 
 class RestrictedLoadCost(CostFunction):
@@ -155,6 +163,28 @@ class RestrictedLoadCost(CostFunction):
         if x == 0:
             return 0.0
         return x * (self.eps * abs(1.0 - self.slope_k * (self.load / x)))
+
+    def eval_grid(self, xs: np.ndarray) -> np.ndarray:
+        return self.rows([self])(np.asarray(xs)[None])[0]
+
+    @classmethod
+    def rows(cls, fns):
+        load, eps, k = (np.array([[getattr(f, a)] for f in fns], dtype=np.float64)
+                        for a in ("load", "eps", "slope_k"))
+
+        def rows(S):
+            x = np.asarray(S, dtype=np.float64)
+            # x = 0 divides by zero; those lanes are replaced below.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                F = x * (eps * np.abs(1.0 - k * (load / x)))
+            return np.where(x < load, math.inf, np.where(x == 0, 0.0, F))
+
+        return rows
+
+    def violations(self, m: int) -> list[str]:
+        # eps * |x - slope_k * load| on x >= load: convex and non-negative.
+        # A load above m is valid input with no feasible schedule.
+        return _parameter_violations(eps=self.eps, slope_k=self.slope_k, load=self.load)
 
 
 class ScaledCost(CostFunction):
@@ -351,21 +381,40 @@ def extend_continuous(instance: ProblemInstance) -> ContinuousEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def _probe_points(m: int, budget: int) -> np.ndarray:
-    if m + 1 <= budget:
-        return np.arange(m + 1, dtype=np.int64)
-    pts = np.unique(np.linspace(0, m, budget).astype(np.int64))
-    return pts
+def _parameter_violations(*, eps: float, **params: float) -> list[str]:
+    """Closed-form kinds: ``eps`` finite and positive, the rest finite."""
+    out = [] if math.isfinite(eps) and eps > 0 else [f"eps = {eps} is not finite and positive"]
+    return out + [f"{name} = {v} is not finite" for name, v in params.items()
+                  if not math.isfinite(v)]
 
 
-def validate_instance(instance: ProblemInstance,
-                      sample_budget: int = VALIDATE_SAMPLE_BUDGET) -> list[str]:
-    """Check shape, non-negativity, and discrete convexity.
+def _grid_violations(vals: np.ndarray) -> list[str]:
+    """A slot's values at 0..m: NaN, else the first negative value, inf
+    between finite values, and the first convexity break on finite triples."""
+    if np.isnan(vals).any():
+        return ["NaN value"]
+    out = []
+    negative = vals < 0
+    if negative.any():
+        out.append(f"negative value at x={int(np.argmax(negative))}")
+    finite = np.isfinite(vals)
+    idx = np.flatnonzero(finite)
+    if idx.size and not finite[idx[0]:idx[-1] + 1].all():
+        out.append("infeasible states interleave feasible ones")
+    v = np.where(finite, vals, 0.0)
+    a, b, c = v[:-2], v[1:-1], v[2:]
+    second = a - 2.0 * b + c
+    tol = -1e-9 * np.maximum(np.maximum(1.0, np.abs(a)), np.maximum(np.abs(b), np.abs(c)))
+    broken = finite[:-2] & finite[1:-1] & finite[2:] & (second < tol)
+    if broken.any():
+        i = int(np.argmax(broken))
+        out.append(f"not convex at x={i + 1} (second difference {second[i]:g} < 0)")
+    return out
 
-    Returns a list of human-readable violations; an empty list means the
-    instance is well formed.  Tables are scanned fully; closed-form
-    functions are probed at up to ``sample_budget`` points (endpoints
-    always included).
+
+def validate_instance(instance: ProblemInstance) -> list[str]:
+    """Human-readable violations of the switching constant, the number of
+    cost functions, and each slot's ``violations(m)``; empty if well formed.
     """
     violations: list[str] = []
     if not (instance.beta > 0):
@@ -373,38 +422,7 @@ def validate_instance(instance: ProblemInstance,
     if len(instance.functions) != instance.T:
         violations.append(f"expected {instance.T} cost functions, got {len(instance.functions)}")
     for t, f in enumerate(instance.functions, start=1):
-        if isinstance(f, TableCost):
-            if f.values.size != instance.m + 1:
-                violations.append(f"f_{t}: table has {f.values.size} entries, expected {instance.m + 1}")
-                continue
-            pts = np.arange(instance.m + 1, dtype=np.int64)
-            vals = f.values
-        else:
-            pts = _probe_points(instance.m, sample_budget)
-            vals = np.array([f(int(p)) for p in pts], dtype=np.float64)
-        finite = np.isfinite(vals)
-        if np.any(np.isnan(vals)):
-            violations.append(f"f_{t}: NaN value")
-            continue
-        if np.any(vals[finite] < 0):
-            bad = int(pts[finite][np.argmax(vals[finite] < 0)])
-            violations.append(f"f_{t}: negative value at x={bad}")
-        if np.any(finite):
-            lo, hi = np.argmax(finite), len(finite) - np.argmax(finite[::-1]) - 1
-            if not np.all(finite[lo:hi + 1]):
-                violations.append(f"f_{t}: infeasible states interleave feasible ones")
-        # Convexity on the finite range, consecutive probes only.
-        for i in range(1, len(pts) - 1):
-            if pts[i] - pts[i - 1] != 1 or pts[i + 1] - pts[i] != 1:
-                continue
-            a, b, c = vals[i - 1], vals[i], vals[i + 1]
-            if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(c)):
-                continue
-            second = a - 2.0 * b + c
-            if second < -1e-9 * max(1.0, abs(a), abs(b), abs(c)):
-                violations.append(f"f_{t}: not convex at x={int(pts[i])} "
-                                  f"(second difference {second:g} < 0)")
-                break
+        violations += [f"f_{t}: {p}" for p in f.violations(instance.m)]
     return violations
 
 
@@ -477,8 +495,8 @@ def instance_from_json(doc: dict) -> ProblemInstance:
     except (ConfigError, ShapeError) as exc:
         raise SchemaError(str(exc)) from exc
     for t, f in enumerate(fns, start=1):
-        if isinstance(f, TableCost) and f.values.size != m + 1:
-            raise SchemaError(f"f_{t}: table has {f.values.size} entries, expected {m + 1}")
+        for problem in f.violations(m):
+            raise SchemaError(f"f_{t}: {problem}")
     return instance
 
 

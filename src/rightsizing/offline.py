@@ -249,7 +249,7 @@ def refine_candidates(schedule: Sequence[int], k: int, m: int) -> ColumnCandidat
     return cols
 
 
-def solve_poly(instance: ProblemInstance, eps_pad: float = 1.0) -> SolveResult:
+def solve_poly(instance: ProblemInstance) -> SolveResult:
     """Optimal schedule by binary search over nested five-state windows.
 
     After padding the fleet to a power of two, iteration k restricts the
@@ -260,11 +260,10 @@ def solve_poly(instance: ProblemInstance, eps_pad: float = 1.0) -> SolveResult:
     """
     if instance.allowed_step != 1:
         raise ConfigError("the window solver requires the full state grid")
-    padded = pad_to_power_of_two(instance, eps_pad)
+    padded = pad_to_power_of_two(instance)
     mp = padded.m
     if mp < 4:
-        res = dp_optimal(instance)
-        return res
+        return dp_optimal(instance)
     K = mp.bit_length() - 3  # mp = 2^(K+2)
     T = instance.T
     beta = instance.beta
@@ -365,6 +364,16 @@ class _FractionalGridCost(CostFunction):
             return self.inner(q)
         frac = r / denom
         return (1.0 - frac) * self.inner(q) + frac * self.inner(q + 1)
+
+    def eval_grid(self, js: np.ndarray) -> np.ndarray:
+        q, r = np.divmod(np.asarray(js, dtype=np.int64), self.denom)
+        # On-grid lanes read q twice, never past m, and keep f(q): 0 * inf is NaN.
+        lo = self.inner.eval_grid(q)
+        hi = self.inner.eval_grid(np.where(r == 0, q, q + 1))
+        frac = r / self.denom
+        with np.errstate(invalid="ignore"):
+            mixed = (1.0 - frac) * lo + frac * hi
+        return np.where(r == 0, lo, mixed)
 
 
 def fractional_grid_optimum(instance: ProblemInstance, denom: int = 2) -> np.ndarray:

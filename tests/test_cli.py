@@ -107,6 +107,45 @@ def test_table_of_wrong_length_exit_2(tmp_path, capsys, argv, size):
     assert "f_2: table has" in capsys.readouterr().err
 
 
+def _table(*values):
+    return {"kind": "table", "values": list(values)}
+
+
+INF, NAN = float("inf"), float("nan")
+
+# Documents that break the model's assumptions (json writes NaN and Infinity
+# literals, which the loader accepts), a command that used to run on them
+# and exit 0 or 3, and the message the load-time check must print.
+BAD_DOCS = {
+    "non-convex-table": ([_table(0, 1, 2), _table(0, 2, 1)],
+                         ["solve", "--algorithm", "poly"], "f_2: not convex at x=1"),
+    "nan-table-entry": ([_table(0, NAN, 1), _table(0, 1, 2)],
+                        ["solve", "--algorithm", "poly"], "f_1: NaN value"),
+    "minus-inf-table-entry": ([_table(0, 1, 2), _table(-INF, 0, 1)],
+                              ["solve", "--algorithm", "poly"],
+                              "f_2: negative value at x=0"),
+    "restricted-negative-eps": ([_table(0, 1, 2),
+                                 {"kind": "restricted", "eps": -0.5, "slope_k": 2.0,
+                                  "lambda": 1.0}],
+                                ["solve", "--algorithm", "poly"], "f_2: eps = -0.5"),
+    "interleaved-inf": ([_table(INF, 0, INF), _table(0, INF, 0)],
+                        ["simulate", "--policy", "lcp"],
+                        "f_2: infeasible states interleave feasible ones"),
+    "affine-nan-center": ([{"kind": "affine_abs", "eps": 1.0, "center": NAN},
+                           _table(0, 1, 2)],
+                          ["solve", "--algorithm", "poly"], "f_1: center = nan"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCS))
+def test_invalid_costs_rejected_at_load_exit_2(tmp_path, capsys, name):
+    functions, argv, message = BAD_DOCS[name]
+    doc = {"T": 2, "m": 2, "beta": 1.0, "convention": "up_only", "functions": functions}
+    path = write_instance(tmp_path, doc)
+    assert main(argv[:1] + [path] + argv[1:]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dyadic_beta, random_table_instance
+from conftest import convex_table, dyadic_beta, random_table_instance
 from rightsizing import (
     AffineAbsCost,
     DomainError,
@@ -133,6 +133,112 @@ def test_validate_flags_bad_beta():
     inst = ProblemInstance(1, 2, 1.0, (TableCost([1, 1, 1]),))
     object.__setattr__(inst, "beta", 0.0)
     assert any("beta" in v for v in validate_instance(inst))
+
+
+def _validate_reference(instance, sample_budget=1 << 16):
+    """The validator as it was before each cost kind checked itself: tables
+    scanned fully, other kinds probed through Python calls at up to
+    ``sample_budget`` points, convexity by a loop over consecutive triples."""
+    violations = []
+    if not (instance.beta > 0):
+        violations.append("beta must be positive")
+    if len(instance.functions) != instance.T:
+        violations.append(f"expected {instance.T} cost functions, got {len(instance.functions)}")
+    for t, f in enumerate(instance.functions, start=1):
+        if isinstance(f, TableCost):
+            if f.values.size != instance.m + 1:
+                violations.append(f"f_{t}: table has {f.values.size} entries, expected {instance.m + 1}")
+                continue
+            pts = np.arange(instance.m + 1, dtype=np.int64)
+            vals = f.values
+        else:
+            if instance.m + 1 <= sample_budget:
+                pts = np.arange(instance.m + 1, dtype=np.int64)
+            else:
+                pts = np.unique(np.linspace(0, instance.m, sample_budget).astype(np.int64))
+            vals = np.array([f(int(p)) for p in pts], dtype=np.float64)
+        finite = np.isfinite(vals)
+        if np.any(np.isnan(vals)):
+            violations.append(f"f_{t}: NaN value")
+            continue
+        if np.any(vals[finite] < 0):
+            bad = int(pts[finite][np.argmax(vals[finite] < 0)])
+            violations.append(f"f_{t}: negative value at x={bad}")
+        if np.any(finite):
+            lo, hi = np.argmax(finite), len(finite) - np.argmax(finite[::-1]) - 1
+            if not np.all(finite[lo:hi + 1]):
+                violations.append(f"f_{t}: infeasible states interleave feasible ones")
+        for i in range(1, len(pts) - 1):
+            if pts[i] - pts[i - 1] != 1 or pts[i + 1] - pts[i] != 1:
+                continue
+            a, b, c = vals[i - 1], vals[i], vals[i + 1]
+            if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(c)):
+                continue
+            second = a - 2.0 * b + c
+            if second < -1e-9 * max(1.0, abs(a), abs(b), abs(c)):
+                violations.append(f"f_{t}: not convex at x={int(pts[i])} "
+                                  f"(second difference {second:g} < 0)")
+                break
+    return violations
+
+
+def _broken_table(rng, m, flaw):
+    """A convex table with one kind of flaw (or none) written into it."""
+    vals = convex_table(rng, m, integer=bool(rng.integers(0, 2))).values.copy()
+    i = int(rng.integers(0, m + 1))
+    if flaw == "nan":
+        vals[i] = np.nan
+    elif flaw == "negative":
+        vals[i] = -float(rng.uniform(0.0, 3.0)) - 1e-3
+    elif flaw == "inf-ends":
+        j = int(rng.integers(i, m + 1))
+        vals[:i] = np.inf
+        vals[j + 1:] = np.inf
+    elif flaw == "interleaved" and m >= 2:
+        vals[int(rng.integers(1, m))] = np.inf
+    elif flaw == "non-convex" and m >= 2:
+        vals[int(rng.integers(1, m))] += float(rng.choice([1e-12, 1e-6, 1.0, 10.0]))
+    elif flaw == "several":
+        vals[:i] = np.inf
+        vals[m // 2] += 5.0
+        vals[-1] = -1.0
+    return TableCost(vals)
+
+
+FLAWS = ("none", "nan", "negative", "inf-ends", "interleaved", "non-convex", "several")
+
+
+def test_validate_matches_sampled_reference():
+    rng = np.random.default_rng(33)
+    seen = dict.fromkeys(("valid", "NaN value", "negative value", "interleave",
+                          "not convex", "table has"), 0)
+    cases = [(m, 40) for m in (1, 2, 3, 4, 7, 12, 60)] + [(1000, 10), (65535, 1)]
+    for m, count in cases:
+        for _ in range(count):
+            # half the tables are left convex, so whole instances pass too
+            fns = [_broken_table(rng, m, str(rng.choice(FLAWS)) if rng.integers(0, 2) else "none")
+                   for _ in range(3)]
+            if m < 100:
+                # convex closed forms, which the reference scans state by state
+                fns += [AffineAbsCost(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0, m))),
+                        RestrictedLoadCost(float(rng.uniform(0, m + 1)),
+                                           eps=float(rng.uniform(0.1, 2.0)),
+                                           slope_k=float(rng.uniform(0.5, 3.0)))]
+            if rng.integers(0, 4) == 0:
+                fns.append(TableCost(np.zeros(m + 2)))
+            inst = ProblemInstance(len(fns), m, 1.0, tuple(fns))
+            got = validate_instance(inst)
+            assert got == _validate_reference(inst)
+            seen["valid"] += not got
+            for v in got:
+                seen[next(k for k in seen if k in v)] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_validate_rejects_minus_infinity_the_reference_missed():
+    inst = ProblemInstance(1, 2, 1.0, (TableCost([-np.inf, 0.0, 1.0]),))
+    assert _validate_reference(inst) == []
+    assert validate_instance(inst) == ["f_1: negative value at x=0"]
 
 
 def test_stretched_copies_sum_back():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -486,13 +487,15 @@ def test_row_evaluators_match_per_slot_eval_grid():
     m = 8
     tables = [convex_table(rng, m) for _ in range(3)]
     affines = [AffineAbsCost(0.75, 2.5), AffineAbsCost(1.5, 6.0)]
+    restricted = [RestrictedLoadCost(load, eps=0.5, slope_k=k)
+                  for load, k in ((0.0, 2.0), (2.5, 1.0), (4.0, 3.0), (9.0, 2.0))]
     padded = [PaddedCost(tables[0], 5, 1.0), PaddedCost(affines[0], 5, 0.5)]
     mixed = [*tables, *affines,
              RestrictedLoadCost(3.0, eps=0.5, slope_k=2.0),
              RestrictedLoadCost(0.0, eps=0.25, slope_k=1.0),
              *padded, ScaledCost(tables[1], 3.0), StretchedCopyCost(affines[1], 4)]
     # one kind per list, padding over two inner kinds, then mixed lists
-    slot_lists = [tables, affines, padded, mixed]
+    slot_lists = [tables, affines, restricted, padded, mixed]
     slot_lists += [[mixed[i] for i in rng.integers(0, len(mixed), size=15)]
                    for _ in range(20)]
     infs = 0
@@ -504,6 +507,33 @@ def test_row_evaluators_match_per_slot_eval_grid():
         assert np.array_equal(evaluate_rows(fns, S), expected)
         infs += int(np.isinf(expected).sum())
     assert infs > 0
+
+
+def test_restricted_and_fractional_eval_grid_match_scalar_calls():
+    from rightsizing import AffineAbsCost, RestrictedLoadCost
+    from rightsizing.offline import _FractionalGridCost
+
+    m = 6
+    xs = np.arange(m + 1)
+    # zero load (so x = 0 costs 0), non-integer loads, and loads at and above m
+    restricted = [RestrictedLoadCost(load, eps=eps, slope_k=k)
+                  for load in (0.0, 0.5, 2.0, 2.7, 6.0, 7.5)
+                  for eps, k in ((0.5, 2.0), (1.25, 1.0), (0.1, 3.0))]
+    inners = [*restricted[::3], AffineAbsCost(0.75, 2.5),
+              TableCost([4, 2.5, 1.5, 1, 1, 1.5, 2.5]),
+              TableCost([np.inf, np.inf, 3.0, 1.0, 0.5, 2.0, np.inf])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = [[f(int(x)) for x in xs] for f in restricted]
+        for f, row in zip(restricted, expected):
+            assert np.array_equal(f.eval_grid(xs), row)
+        S = np.tile(xs, (len(restricted), 1))
+        assert np.array_equal(RestrictedLoadCost.rows(restricted)(S), expected)
+        for inner in inners:
+            for denom in (1, 2, 3, 4):
+                g = _FractionalGridCost(inner, denom)
+                js = np.arange(m * denom + 1)  # ends on the top state, r == 0
+                assert np.array_equal(g.eval_grid(js), [g(int(j)) for j in js])
 
 
 def test_eval_cost_names_first_infeasible_slot():

@@ -1,0 +1,81 @@
+"""Property tests: the exact solvers agree with each other and with the
+offline schedule rebuilt from the lazy policy's bands, and the lazy policy
+stays within three times the optimum.
+
+Dyadic instances (every cost and the switching constant a multiple of a
+small power of two) make every sum exact, so equality is claimed there;
+load-model slots bring in non-dyadic values and a relative tolerance.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rightsizing import (
+    AffineAbsCost,
+    ProblemInstance,
+    RestrictedLoadCost,
+    TableCost,
+    backward_optimal,
+    dp_optimal,
+    eval_cost,
+    lcp_run,
+    solve_poly,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+REL = 1e-9
+
+
+@st.composite
+def dyadic_slot(draw, m):
+    if draw(st.booleans()):
+        # convex table: cumulative sums of sorted slopes, in eighths
+        slopes = sorted(draw(st.lists(st.integers(-16, 16), min_size=m, max_size=m)))
+        vals = np.concatenate(([0], np.cumsum(slopes)))
+        return TableCost((vals - vals.min() + draw(st.integers(0, 8))) / 8.0)
+    return AffineAbsCost(draw(st.integers(1, 16)) / 8.0, draw(st.integers(0, 4 * m)) / 4.0)
+
+
+@st.composite
+def instances(draw, restricted=False):
+    T = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    beta = draw(st.integers(1, 32)) / 8.0
+    fns = []
+    for _ in range(T):
+        if restricted and draw(st.booleans()):
+            fns.append(RestrictedLoadCost(draw(st.floats(0.0, float(m))),
+                                          eps=draw(st.floats(0.1, 2.0)),
+                                          slope_k=draw(st.floats(0.5, 3.0))))
+        else:
+            fns.append(draw(dyadic_slot(m)))
+    return ProblemInstance(T, m, beta, tuple(fns))
+
+
+def solver_costs(inst):
+    """Cost of the window solver, the full-grid DP, and the schedule that
+    ``backward_optimal`` rebuilds from the lazy policy's bands."""
+    bands = backward_optimal(lcp_run(inst).decisions)
+    return solve_poly(inst).cost, dp_optimal(inst).cost, eval_cost(inst, bands).total
+
+
+@PROPERTY
+@given(instances())
+def test_exact_solvers_and_bands_agree_exactly_on_dyadic_data(inst):
+    poly, grid, bands = solver_costs(inst)
+    assert poly == grid == bands
+
+
+@PROPERTY
+@given(instances(restricted=True))
+def test_exact_solvers_and_bands_agree_with_load_slots(inst):
+    poly, grid, bands = solver_costs(inst)
+    assert abs(poly - grid) <= REL * max(1.0, grid)
+    assert abs(bands - grid) <= REL * max(1.0, grid)
+
+
+@PROPERTY
+@given(instances(restricted=True))
+def test_lcp_within_three_times_opt(inst):
+    assert lcp_run(inst).cost.total <= 3.0 * dp_optimal(inst).cost
