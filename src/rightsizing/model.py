@@ -132,7 +132,13 @@ class AffineAbsCost(CostFunction):
     def rows(cls, fns):
         eps = np.array([f.eps for f in fns])[:, None]
         cen = np.array([f.center for f in fns])[:, None]
-        return lambda S: eps * np.abs(S - cen)
+
+        def rows(S):
+            F = np.subtract(S, cen)
+            np.abs(F, out=F)
+            return np.multiply(eps, F, out=F)
+
+        return rows
 
     def violations(self, m: int) -> list[str]:
         # Convex and non-negative for any finite parameters.

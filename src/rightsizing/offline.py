@@ -3,13 +3,21 @@
 Two solvers are provided: a plain dynamic program over a per-slot layered
 state graph (the oracle, linear in m), and a binary-search solver that
 repeatedly optimizes over five-state windows and runs in O(T log m).
-Both return the lexicographically smallest minimum-cost schedule.
+Both return the lexicographically smallest minimum-cost schedule. The
+window kernel is C (``window_dp.c``, compiled on first use) with a numpy
+twin that gives the same schedules where no C compiler works.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +92,51 @@ def _window_dp(S, F, beta):
     """Lexicographically smallest minimum-cost schedule over candidate
     states ``S[t, i]`` (ascending per slot, duplicates allowed) with
     operating costs ``F[t, i]``; returns ``(x, feasible)``.
+
+    Runs the compiled kernel when a C compiler is at hand, else the numpy
+    one; both give the same schedule bit for bit."""
+    kernel = _compiled_kernel()
+    # The numpy kernel also raises the errors for empty or mismatched arrays.
+    if kernel is None or np.size(S) == 0 or np.shape(S) != np.shape(F):
+        return _window_dp_numpy(S, F, beta)
+    S, F = (a if a.flags.forc else np.ascontiguousarray(a)
+            for a in (np.asarray(S, dtype=np.int64), np.asarray(F, dtype=np.float64)))
+    T, W = S.shape
+    x = np.empty(T, dtype=np.int64)
+    P = np.empty(max(T - 1, 0) * W, dtype=np.int64)
+    work = np.empty(2 * W, dtype=np.float64)
+    ok = kernel(T, W, S.ctypes.data, *(n // 8 for n in S.strides),
+                F.ctypes.data, *(n // 8 for n in F.strides), float(beta),
+                work.ctypes.data, P.ctypes.data, x.ctypes.data)
+    return x, bool(ok)
+
+
+@functools.cache
+def _compiled_kernel():
+    """``window_dp`` from ``window_dp.c``, built on first use into the
+    package's ``__pycache__`` under a name keyed by the source hash; None
+    when no C compiler works or the directory is not writable."""
+    src = Path(__file__).with_name("window_dp.c")
+    try:
+        tag = hashlib.sha256(src.read_bytes()).hexdigest()[:16]
+        lib = src.parent / "__pycache__" / f"window_dp-{tag}.so"
+        if not lib.exists():
+            lib.parent.mkdir(exist_ok=True)
+            tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+            subprocess.run(["cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+                            "-o", str(tmp), str(src)], check=True, capture_output=True)
+            os.replace(tmp, lib)
+        fn = ctypes.CDLL(str(lib)).window_dp
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [i64, i64, ptr, i64, i64, ptr, i64, i64, ctypes.c_double, ptr, ptr, ptr]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _window_dp_numpy(S, F, beta):
+    """The numpy window kernel.
 
     The backward pass stores, for every state of slot t, the first argmin
     over the next slot of reach cost plus suffix value.  That is the choice
@@ -279,7 +332,9 @@ def solve_poly(instance: ProblemInstance) -> SolveResult:
         probed += S.size
         if k > 0:
             half = 1 << (k - 1)
-            S = np.clip(x[:, None] + _REFINE_OFFSETS * half, 0, mp)
+            # Column-major storage keeps numpy's inner loops T long.
+            S = np.add.outer(_REFINE_OFFSETS * half, x).T
+            np.clip(S, 0, mp, out=S)
     if int(x.max()) > instance.m:
         raise ContractError("padded state survived into the final schedule")
     cost = eval_cost(instance, x).total

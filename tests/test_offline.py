@@ -1,4 +1,5 @@
 import itertools
+import shutil
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from rightsizing import (
     scale_psi,
     solve_poly,
 )
-from rightsizing.offline import _window_dp
+from rightsizing.offline import _compiled_kernel, _window_dp, _window_dp_numpy
 
 REL = 1e-9
 
@@ -195,11 +196,13 @@ def test_window_kernel_matches_scalar_reference():
             "W=1": 0, "dup": 0}
     for _ in range(1200):
         S, F, beta = _random_window(rng)
-        x, ok = _window_dp(S, F, beta)
         x_ref, ok_ref = _window_dp_reference(S, F, beta)
-        assert ok == ok_ref
-        if ok:
-            assert np.array_equal(x, x_ref)
+        for kernel, order in itertools.product((_window_dp, _window_dp_numpy), "CF"):
+            x, ok = kernel(np.asarray(S, order=order), np.asarray(F, order=order), beta)
+            assert ok == ok_ref
+            if ok:
+                assert np.array_equal(x, x_ref)
+        ok = ok_ref
         seen["feasible" if ok else "infeasible"] += 1
         seen["inf"] += bool(np.isinf(F).any())
         seen["nan"] += bool(np.isnan(F).any())
@@ -207,6 +210,10 @@ def test_window_kernel_matches_scalar_reference():
         seen["W=1"] += S.shape[1] == 1
         seen["dup"] += bool(np.any(S[:, 1:] == S[:, :-1]))
     assert min(seen.values()) >= 20, seen
+
+
+def test_window_kernel_is_compiled_when_a_compiler_exists():
+    assert (_compiled_kernel() is not None) == (shutil.which("cc") is not None)
 
 
 # ---------------------------------------------------------------------------
