@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -138,26 +138,26 @@ class LcpPolicy:
         return self._state.x_lcp
 
 
-def _resolve_policy(policy, variant: str, eps: float, m: int):
+def _resolve_policy(policy, variant: str, eps: float):
+    """The named policy for the discrete or continuous duel; any other
+    object is taken as a policy."""
     if not isinstance(policy, str):
         return policy
     if policy == "lcp":
-        if variant in ("continuous",):
+        if variant == "continuous":
             raise ConfigError("the continuous adversary needs a fractional policy")
-        return LcpPolicy(m, DUEL_BETA)
+        return LcpPolicy(1, DUEL_BETA)
     if policy == "algorithm-b":
-        if variant in ("discrete",):
+        if variant == "discrete":
             raise ConfigError("the discrete adversary needs an integer policy")
         return AlgorithmB(eps)
     if policy == "random-round":
-        if variant != "randomized":
-            raise ConfigError("the rounding policy duels the randomized adversary")
-        return None  # rounding duels are ensemble-driven, built in place
+        raise ConfigError("the rounding policy duels the randomized adversary")
     raise ConfigError(f"unknown policy {policy!r}")
 
 
 # ---------------------------------------------------------------------------
-# duels
+# duel configuration and reports
 # ---------------------------------------------------------------------------
 
 
@@ -209,12 +209,13 @@ class DuelReport:
     instance: ProblemInstance | None = None  # realized workload, not serialized
 
     def to_json(self) -> dict:
-        out = {}
-        for key, val in self.__dict__.items():
-            if val is None or key == "instance":
-                continue
-            out[key] = val
-        return out
+        return {key: val for key, val in self.__dict__.items()
+                if val is not None and key != "instance"}
+
+
+# ---------------------------------------------------------------------------
+# the play loop and the two scorers
+# ---------------------------------------------------------------------------
 
 
 def _digest(labels: Sequence[str]) -> tuple[str, dict]:
@@ -250,112 +251,147 @@ def _duel_moves(states: Sequence[float], *, close: bool = False) -> tuple[np.nda
                                  float(moves.sum()))
 
 
-def _duel_discrete(policy, config: AdversaryConfig) -> DuelReport:
-    eps, T = config.eps, config.T
-    policy = _resolve_policy(policy, "discrete", eps, m=1)
-    labels, fns, xs = [], [], []
+def _label(f: AffineAbsCost) -> str:
+    return TOWARD_ONE if f.center == 1.0 else TOWARD_ZERO
+
+
+def _pull_costs(eps: float) -> dict[str, CostFunction]:
+    return {lab: pull_cost(lab, eps) for lab in (TOWARD_ZERO, TOWARD_ONE)}
+
+
+def _reference_pick(eps: float):
+    """The fractional adversary's rule against a reference stepping
+    trajectory that follows the labels it picks."""
+    ref = AlgorithmBState(eps)
+
+    def pick(a: float) -> str:
+        lab = _label(adv_continuous_step(a, ref.b, eps))
+        algorithm_b_step(ref, lab)
+        return lab
+
+    return pick
+
+
+@dataclass
+class _Play:
+    """A realized duel: per slot the label, its cost and the policy's state."""
+
+    labels: list
+    fns: list
+    states: list
+    termination: str = "horizon"
+
+    def instance(self, m: int) -> ProblemInstance:
+        return ProblemInstance(len(self.labels), m, DUEL_BETA, tuple(self.fns),
+                               convention="symmetric")
+
+
+def _play(policy, pick, costs: dict, T: int, *, cast=float, stop: bool = False) -> _Play:
+    """The duel loop.  Each slot the adversary picks a label from the
+    policy's last state (idle before the first slot), the label's cost is
+    played, and the policy steps.  With ``stop`` the play ends once the
+    policy reaches state 0 or 1."""
+    play = _Play([], [], [])
     state = 0
     for _ in range(T):
-        f = adv_discrete_step(state, eps)
-        labels.append(TOWARD_ONE if state == 0 else TOWARD_ZERO)
-        fns.append(f)
-        state = int(policy.step(f))
-        xs.append(state)
-    schedule = np.array(xs, dtype=np.int64)
-    instance = ProblemInstance(T, 1, DUEL_BETA, tuple(fns), convention="symmetric")
-    policy_cb = eval_cost(instance, schedule)
-    opt = dp_optimal(instance)
-    switches = int(np.abs(np.diff(np.concatenate(([0], schedule)))).sum())
-    bound = min(T * eps / 2.0 + 2.0, switches + 2.0)
-    digest, counts = _digest(labels)
-    up_only = eval_cost(instance.replace(convention="up_only"), schedule).total
-    return DuelReport(
-        variant="discrete", policy=getattr(policy, "name", type(policy).__name__),
-        eps=eps, beta=DUEL_BETA, T=T,
-        policy_cost=policy_cb.total, opt_cost=opt.cost,
-        ratio=policy_cb.total / opt.cost, opt_bound=bound,
-        switch_count=switches, label_digest=digest, label_counts=counts,
-        seed=config.seed, policy_cost_up_only=up_only, instance=instance,
-    )
-
-
-def _duel_continuous(policy, config: AdversaryConfig,
-                     scripted_labels: Sequence[str] | None = None) -> DuelReport:
-    eps, cap = config.eps, config.T
-    policy = _resolve_policy(policy, "continuous", eps, m=1)
-    ref = AlgorithmBState(eps)
-    labels: list[str] = []
-    states: list[float] = []
-    a = 0.0
-    termination = "horizon"
-    if scripted_labels is not None:
-        cap = len(scripted_labels)
-    for i in range(cap):
-        if scripted_labels is None:
-            f = adv_continuous_step(a, ref.b, eps)
-            lab = TOWARD_ONE if f.center == 1.0 else TOWARD_ZERO
-        else:
-            lab = scripted_labels[i]
-            f = pull_cost(lab, eps)
-        labels.append(lab)
-        algorithm_b_step(ref, lab)
-        a = float(policy.step(f))
-        states.append(a)
-        if a <= _BOUNDARY_TOL or a >= 1.0 - _BOUNDARY_TOL:
-            termination = "hit0" if a <= _BOUNDARY_TOL else "hit1"
+        lab = pick(state)
+        f = costs.get(lab)
+        if f is None:
+            raise ConfigError(f"unknown workload label {lab!r}")
+        state = cast(policy.step(f))
+        play.labels.append(lab)
+        play.fns.append(f)
+        play.states.append(state)
+        if stop and (state <= _BOUNDARY_TOL or state >= 1.0 - _BOUNDARY_TOL):
+            play.termination = "hit0" if state <= _BOUNDARY_TOL else "hit1"
             break
-    arr = np.array(states, dtype=np.float64)
-    ops = math.fsum(pull_cost(lab, eps)(s) for lab, s in zip(labels, arr))
-    moves, switching = _duel_moves(arr)
-    policy_cost = ops + switching
-    slots = [[(0.0, pull_cost(lab, eps)(0.0)), (1.0, pull_cost(lab, eps)(1.0))]
-             for lab in labels]
-    opt = _open_grid_opt(slots, DUEL_BETA)
-    digest, counts = _digest(labels)
-    realized = ProblemInstance(len(labels), 1, DUEL_BETA,
-                               tuple(pull_cost(lab, eps) for lab in labels),
-                               convention="symmetric")
+    return play
+
+
+def _score_closed(play: _Play, m: int) -> dict:
+    """The integer schedule's eval_cost against dp_optimal on the realized
+    symmetric instance; each unit moved counts as a switch."""
+    instance = play.instance(m)
+    x = np.array(play.states, dtype=np.int64)
+    return dict(instance=instance, policy_cost=eval_cost(instance, x).total,
+                opt_cost=dp_optimal(instance).cost,
+                switch_count=int(np.abs(np.diff(x, prepend=0)).sum()))
+
+
+def _score_open(play: _Play, grid: Sequence[float] | None) -> dict:
+    """The fsum of the slot costs plus the switching cost of the moves, each
+    nonzero move one switch, against the open-ended optimum over the duel's
+    state grid.  With no grid the trajectory closes and no optimum is taken."""
+    moves, switching = _duel_moves(play.states, close=grid is None)
+    cost = math.fsum(f(s) for f, s in zip(play.fns, play.states)) + switching
+    opt = None if grid is None else _open_grid_opt(
+        [[(s, f(s)) for s in grid] for f in play.fns], DUEL_BETA)
+    return dict(instance=play.instance(1), policy_cost=cost, opt_cost=opt,
+                switch_count=int(np.count_nonzero(moves)))
+
+
+def _report(variant: str, policy: str, config: AdversaryConfig, play: _Play, *,
+            policy_cost: float, opt_cost: float, opt_bound: float | None = None,
+            **fields) -> DuelReport:
+    digest, counts = _digest(play.labels)
     return DuelReport(
-        variant="continuous", policy=getattr(policy, "name", type(policy).__name__),
-        eps=eps, beta=DUEL_BETA, T=len(labels),
-        policy_cost=policy_cost, opt_cost=opt, ratio=policy_cost / opt,
-        opt_bound=None, switch_count=int(np.count_nonzero(moves)),
-        label_digest=digest, label_counts=counts, seed=config.seed,
-        termination=termination, instance=realized,
-    )
+        variant=variant, policy=policy, eps=config.eps, beta=DUEL_BETA,
+        T=len(play.labels), policy_cost=policy_cost, opt_cost=opt_cost,
+        ratio=policy_cost / opt_cost, opt_bound=opt_bound, label_digest=digest,
+        label_counts=counts, seed=config.seed, termination=play.termination, **fields)
+
+
+def _name(policy) -> str:
+    return getattr(policy, "name", type(policy).__name__)
+
+
+def _embedding(play: _Play, eps: float, shift: int, general: DuelReport) -> dict:
+    """A load-model duel's extras: the largest gap between a slot's cost and
+    the two-level cost ``shift`` servers lower, and the figures of the
+    general two-level duel it embeds."""
+    dev = max(abs(f(x) - pull_cost(lab, eps)(x - shift))
+              for lab, f, x in zip(play.labels, play.fns, play.states))
+    return dict(embedding_max_dev=float(dev), general_policy_cost=general.policy_cost,
+                general_opt_cost=general.opt_cost, general_ratio=general.ratio)
+
+
+# ---------------------------------------------------------------------------
+# duels
+# ---------------------------------------------------------------------------
+
+
+def _duel_discrete(policy, config: AdversaryConfig) -> DuelReport:
+    eps = config.eps
+    policy = _resolve_policy(policy, "discrete", eps)
+    play = _play(policy, lambda x: _label(adv_discrete_step(x, eps)),
+                 _pull_costs(eps), config.T, cast=int)
+    score = _score_closed(play, 1)
+    up_only = eval_cost(score["instance"].replace(convention="up_only"), play.states).total
+    bound = min(config.T * eps / 2.0 + 2.0, score["switch_count"] + 2.0)
+    return _report("discrete", _name(policy), config, play, **score,
+                   opt_bound=bound, policy_cost_up_only=up_only)
+
+
+def _duel_continuous(policy, config: AdversaryConfig, pick=None) -> DuelReport:
+    policy = _resolve_policy(policy, "continuous", config.eps)
+    play = _play(policy, pick or _reference_pick(config.eps), _pull_costs(config.eps),
+                 config.T, stop=True)
+    return _report("continuous", _name(policy), config, play,
+                   **_score_open(play, (0.0, 1.0)))
 
 
 def _duel_randomized(policy, config: AdversaryConfig) -> DuelReport:
-    eps, T = config.eps, config.T
     # The adversary reacts to the policy's per-slot marginal, which for
     # rounding over the two-level stepping policy equals the reference
     # trajectory itself, so the workload is deterministic.
-    ref = AlgorithmBState(eps)
-    labels: list[str] = []
-    xbar: list[float] = []
-    a = 0.0
-    for _ in range(T):
-        f = adv_continuous_step(a, ref.b, eps)
-        labels.append(TOWARD_ONE if f.center == 1.0 else TOWARD_ZERO)
-        a = algorithm_b_step(ref, labels[-1])
-        xbar.append(a)
-    fns = tuple(pull_cost(lab, eps) for lab in labels)
-    instance = ProblemInstance(T, 1, DUEL_BETA, fns, convention="symmetric")
-    ens = rounding_ensemble(xbar, instance, config.n_runs, config.seed)
-    mean_cost = float(ens.costs.mean())
-    opt = dp_optimal(instance)
-    arr = np.array(xbar)
-    moves, switching = _duel_moves(arr, close=True)
-    frac_cost = math.fsum(f(v) for f, v in zip(fns, arr)) + switching
-    digest, counts = _digest(labels)
-    return DuelReport(
-        variant="randomized", policy="random-round",
-        eps=eps, beta=DUEL_BETA, T=T,
-        policy_cost=mean_cost, opt_cost=opt.cost, ratio=mean_cost / opt.cost,
-        opt_bound=None, switch_count=int(np.count_nonzero(moves)),
-        label_digest=digest, label_counts=counts, seed=config.seed,
-        n_runs=config.n_runs, fractional_cost=frac_cost, instance=instance,
-    )
+    eps = config.eps
+    play = _play(AlgorithmB(eps), _reference_pick(eps), _pull_costs(eps), config.T)
+    score = _score_open(play, None)
+    ens = rounding_ensemble(play.states, score["instance"], config.n_runs, config.seed)
+    score.update(fractional_cost=score["policy_cost"], policy_cost=float(ens.costs.mean()),
+                 opt_cost=dp_optimal(score["instance"]).cost)
+    return _report("randomized", "random-round", config, play, **score,
+                   n_runs=config.n_runs)
 
 
 def _duel_restricted(policy, config: AdversaryConfig) -> DuelReport:
@@ -374,41 +410,16 @@ def _duel_restricted_discrete(config: AdversaryConfig) -> DuelReport:
     infeasible once loads arrive); its trajectory sits exactly one server
     above the two-level duel's, and interior costs match slot by slot.
     """
-    eps, T = config.eps, config.T
-    policy = LcpPolicy(2, DUEL_BETA)
-    labels, fns, xs = [], [], []
-    shadow = 0  # two-level view of the current state
-    for _ in range(T):
-        lab = TOWARD_ONE if shadow == 0 else TOWARD_ZERO
-        load = 1.0 if lab == TOWARD_ONE else 0.5
-        f = RestrictedLoadCost(load, eps=eps, slope_k=2.0)
-        x = int(policy.step(f))
-        labels.append(lab)
-        fns.append(f)
-        xs.append(x)
-        shadow = x - 1
-    instance = ProblemInstance(T, 2, DUEL_BETA, tuple(fns), convention="symmetric")
-    schedule = np.array(xs, dtype=np.int64)
-    policy_cb = eval_cost(instance, schedule)
-    opt = dp_optimal(instance)
-    # Interior identity: load-model cost at x equals the two-level cost at x-1.
-    dev = max(abs(f(x) - pull_cost(lab, eps)(x - 1))
-              for x, f, lab in zip(xs, fns, labels))
-    general = _duel_discrete("lcp", AdversaryConfig(eps=eps, variant="discrete",
-                                                    T=T, seed=config.seed))
-    digest, counts = _digest(labels)
-    switches = int(np.abs(np.diff(np.concatenate(([0], schedule)))).sum())
-    return DuelReport(
-        variant="restricted", policy="lcp", eps=eps, beta=DUEL_BETA, T=T,
-        policy_cost=policy_cb.total, opt_cost=opt.cost,
-        ratio=policy_cb.total / opt.cost,
-        opt_bound=None, switch_count=switches,
-        label_digest=digest, label_counts=counts, seed=config.seed,
-        embedding_max_dev=float(dev),
-        general_policy_cost=general.policy_cost,
-        general_opt_cost=general.opt_cost, general_ratio=general.ratio,
-        instance=instance,
-    )
+    eps = config.eps
+    costs = {TOWARD_ZERO: RestrictedLoadCost(0.5, eps=eps, slope_k=2.0),
+             TOWARD_ONE: RestrictedLoadCost(1.0, eps=eps, slope_k=2.0)}
+    # The two-level view is x - 1, and idle counts as its level 0: the
+    # adversary pulls toward 0 only from the top server.
+    play = _play(LcpPolicy(2, DUEL_BETA), lambda x: TOWARD_ZERO if x == 2 else TOWARD_ONE,
+                 costs, config.T, cast=int)
+    general = _duel_discrete("lcp", replace(config, variant="discrete"))
+    return _report("restricted", "lcp", config, play, **_score_closed(play, 2),
+                   **_embedding(play, eps, 1, general))
 
 
 def _duel_restricted_continuous(config: AdversaryConfig) -> DuelReport:
@@ -419,47 +430,13 @@ def _duel_restricted_continuous(config: AdversaryConfig) -> DuelReport:
     """
     eps = config.eps
     k = float(1 << max(1, math.ceil(math.log2(2.0 / eps))))
-    policy = AlgorithmB(eps)
-    ref = AlgorithmBState(eps)
-    labels, states, fns = [], [], []
-    a = 0.0
-    termination = "horizon"
-    for _ in range(config.T):
-        lab_f = adv_continuous_step(a, ref.b, eps)
-        lab = TOWARD_ONE if lab_f.center == 1.0 else TOWARD_ZERO
-        load = 0.0 if lab == TOWARD_ZERO else 1.0 / k
-        f = RestrictedLoadCost(load, eps=eps, slope_k=k)
-        algorithm_b_step(ref, lab)
-        a = float(policy.step(f))
-        labels.append(lab)
-        fns.append(f)
-        states.append(a)
-        if a <= _BOUNDARY_TOL or a >= 1.0 - _BOUNDARY_TOL:
-            termination = "hit0" if a <= _BOUNDARY_TOL else "hit1"
-            break
-    ops = [f(s) for f, s in zip(fns, states)]
-    moves, switching = _duel_moves(states)
-    policy_cost = math.fsum(ops) + switching
-    dev = max(abs(o - pull_cost(lab, eps)(s))
-              for o, lab, s in zip(ops, labels, states))
+    costs = {TOWARD_ZERO: RestrictedLoadCost(0.0, eps=eps, slope_k=k),
+             TOWARD_ONE: RestrictedLoadCost(1.0 / k, eps=eps, slope_k=k)}
+    play = _play(AlgorithmB(eps), _reference_pick(eps), costs, config.T, stop=True)
+    general = _duel_continuous(AlgorithmB(eps), replace(config, variant="continuous"))
     # States below a slot's load cost inf, which _open_grid_opt skips.
-    slots = [[(s, f(s)) for s in (0.0, 1.0 / k, 1.0)] for f in fns]
-    opt = _open_grid_opt(slots, DUEL_BETA)
-    general = _duel_continuous(AlgorithmB(eps), AdversaryConfig(
-        eps=eps, variant="continuous", T=config.T, seed=config.seed))
-    digest, counts = _digest(labels)
-    return DuelReport(
-        variant="restricted", policy="algorithm-b", eps=eps, beta=DUEL_BETA,
-        T=len(labels), policy_cost=policy_cost, opt_cost=opt,
-        ratio=policy_cost / opt, opt_bound=None,
-        switch_count=int(np.count_nonzero(moves)),
-        label_digest=digest, label_counts=counts, seed=config.seed,
-        termination=termination, embedding_max_dev=float(dev),
-        general_policy_cost=general.policy_cost,
-        general_opt_cost=general.opt_cost, general_ratio=general.ratio,
-        instance=ProblemInstance(len(labels), 1, DUEL_BETA, tuple(fns),
-                                 convention="symmetric"),
-    )
+    return _report("restricted", "algorithm-b", config, play,
+                   **_score_open(play, (0.0, 1.0 / k, 1.0)), **_embedding(play, eps, 0, general))
 
 
 def run_duel(policy, config: AdversaryConfig) -> DuelReport:
@@ -480,4 +457,5 @@ def run_scripted_workload(policy, labels: Sequence[str], eps: float) -> DuelRepo
     """Score a fractional policy against a fixed two-level label sequence
     (same open-horizon accounting as the reactive continuous duel)."""
     config = AdversaryConfig(eps=eps, variant="continuous", T=len(labels))
-    return _duel_continuous(policy, config, scripted_labels=list(labels))
+    script = iter(list(labels))
+    return _duel_continuous(policy, config, lambda _: next(script))

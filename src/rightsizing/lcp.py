@@ -23,6 +23,7 @@ from .model import (
     ShapeError,
     eval_cost,
 )
+from .offline import _climb_min
 
 #: Dense cost arrays make each step O(m); refuse silently huge fleets.
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -47,6 +48,9 @@ class LcpState:
     x_lcp: int = 0
     reach_costs: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     history: list[LcpDecision] = field(default_factory=list)
+    # beta * x, and the same read from x = m down and negated
+    ramp: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    mirrored_ramp: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
 
 def lcp_init(m: int, beta: float) -> LcpState:
@@ -59,8 +63,8 @@ def lcp_init(m: int, beta: float) -> LcpState:
         raise ConfigError("beta must be positive")
     if m > DEFAULT_STATE_LIMIT:
         raise ConfigError(f"m = {m} exceeds the dense-state limit {DEFAULT_STATE_LIMIT}")
-    reach = beta * np.arange(m + 1, dtype=np.float64)
-    return LcpState(m=m, beta=beta, reach_costs=reach)
+    ramp = beta * np.arange(m + 1, dtype=np.float64)
+    return LcpState(m=m, beta=beta, reach_costs=ramp, ramp=ramp, mirrored_ramp=-ramp[::-1])
 
 
 def _first_within(values: np.ndarray) -> int:
@@ -74,16 +78,12 @@ def _last_within(values: np.ndarray) -> int:
 
 def lcp_step(state: LcpState, f: CostFunction) -> LcpDecision:
     """Consume the next cost function and move lazily into the new band."""
-    m, beta = state.m, state.beta
-    xs = np.arange(m + 1, dtype=np.float64)
-    fvals = np.asarray(f.eval_grid(np.arange(m + 1, dtype=np.int64)), dtype=np.float64)
-    prev = state.reach_costs
-    # min over x' of prev(x') + beta * (x - x')^+, split at x' = x:
-    pref = np.minimum.accumulate(prev - beta * xs)
-    suf = np.minimum.accumulate(prev[::-1])[::-1]
-    reach = np.minimum(beta * xs + pref, suf) + fvals
+    fvals = np.asarray(f.eval_grid(np.arange(state.m + 1, dtype=np.int64)), dtype=np.float64)
+    # min over x' of prev(x') + beta * (x - x')^+ is the offline climb step
+    # on the mirrored grid, where powering up runs downhill.
+    reach = _climb_min(state.reach_costs[::-1], state.mirrored_ramp)[::-1] + fvals
     lower = _first_within(reach)
-    upper = _last_within(reach - beta * xs)
+    upper = _last_within(reach - state.ramp)
     chosen = min(max(state.x_lcp, lower), upper)
     state.reach_costs = reach
     state.x_lcp = chosen

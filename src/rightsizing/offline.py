@@ -170,29 +170,40 @@ def _window_dp_numpy(S, F, beta):
 # ---------------------------------------------------------------------------
 
 
+def _climb_min(c: np.ndarray, ramp: np.ndarray) -> np.ndarray:
+    """``min over y of c[y] + (ramp[y] - ramp[x])^+`` for a non-decreasing
+    ramp: the prefix minimum of ``c`` against the suffix minimum of the
+    climb costs ``c + ramp``, less the ramp.  It works in place: with more
+    O(m) temporaries per call the allocator gave pages back to the system
+    and faulted them in again on every slot."""
+    climb = np.add(c, ramp)[::-1]
+    np.minimum.accumulate(climb, out=climb)
+    climb = climb[::-1]
+    climb -= ramp
+    return np.minimum(np.minimum.accumulate(c), climb, out=climb)
+
+
 def _dp_grid(instance: ProblemInstance) -> tuple[np.ndarray, int]:
-    """O(m)-per-column DP over the full allowed grid, via running prefix
-    minima of the reach costs and suffix minima of the climb costs."""
+    """O(m)-per-column DP over the full allowed grid, one climb step per
+    column.  NaN costs count as +inf, as in the window kernel."""
     states = instance.allowed_states()
     sf = states.astype(np.float64)
     beta = instance.beta
+    ramp = beta * sf
     fns = instance.functions
     T = instance.T
     H = np.empty((T, states.size), dtype=np.float64)
     H[T - 1] = 0.0
     for t in range(T - 2, -1, -1):
-        c = fns[t + 1].eval_grid(states) + H[t + 1]
-        pref = np.minimum.accumulate(c)
-        suf = np.minimum.accumulate((c + beta * sf)[::-1])[::-1]
-        H[t] = np.minimum(pref, suf - beta * sf)
+        H[t] = _climb_min(np.fmin(fns[t + 1].eval_grid(states), np.inf) + H[t + 1], ramp)
     x = np.empty(T, dtype=np.int64)
-    v = beta * sf + fns[0].eval_grid(states) + H[0]
+    v = ramp + np.fmin(fns[0].eval_grid(states), np.inf) + H[0]
     if not np.isfinite(v.min()):
         raise InfeasibleError("no feasible schedule exists")
     x[0] = states[int(np.argmin(v))]
     for t in range(1, T):
         climb = beta * np.maximum(sf - x[t - 1], 0.0)
-        v = climb + fns[t].eval_grid(states) + H[t]
+        v = climb + np.fmin(fns[t].eval_grid(states), np.inf) + H[t]
         x[t] = states[int(np.argmin(v))]
     return x, T * states.size
 

@@ -222,7 +222,7 @@ def rounding_run(source, instance: ProblemInstance, seed: int) -> RoundingResult
 @dataclass(frozen=True)
 class EnsembleResult:
     costs: np.ndarray          # total cost per run
-    upper_frequency: np.ndarray  # per slot, fraction of runs on ceil(xbar_t)
+    upper_frequency: np.ndarray  # per slot, fraction of runs above floor(xbar_t)
     seed: int
 
 
@@ -254,7 +254,8 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
         d = x_new - x
         ups += np.maximum(d, 0)
         downs += np.maximum(-d, 0)
-        upper[t] = float(np.mean(x_new == hi))
+        # Estimates marginal_upper: 0 on integral slots, where hi == lo.
+        upper[t] = float(np.mean(x_new > lo))
         x = x_new
         prev_xbar = float(arr[t])
     downs += x  # closing power-down to the all-asleep end state

@@ -119,6 +119,16 @@ def test_dp_columns_infeasible_when_a_slot_is_all_inf(dead_slot):
         dp_optimal(inst, columns=cols)
 
 
+def test_dp_grid_counts_nan_cost_as_forbidden():
+    # m = 2 pads to no window levels, so solve_poly runs the full-grid DP too.
+    # A NaN entry forbids its state, as in the window kernel; idling is free.
+    inst = ProblemInstance(2, 2, 1.0, (TableCost([0.0, np.nan, 1.0]),
+                                       TableCost([0.0, 1.0, 2.0])))
+    for res in (dp_optimal(inst), solve_poly(inst)):
+        assert list(res.schedule) == [0, 0]
+        assert res.cost == 0.0
+
+
 # ---------------------------------------------------------------------------
 # window kernel
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Property tests: the exact solvers agree with each other and with the
 offline schedule rebuilt from the lazy policy's bands, and the lazy policy
-stays within three times the optimum.
+stays within three times the optimum.  Rounding puts each slot on the
+ceiling of a fractional schedule with probability equal to its fractional
+part.
 
 Dyadic instances (every cost and the switching constant a multiple of a
 small power of two) make every sum exact, so equality is claimed there;
@@ -20,6 +22,7 @@ from rightsizing import (
     dp_optimal,
     eval_cost,
     lcp_run,
+    rounding_ensemble,
     solve_poly,
 )
 
@@ -79,3 +82,27 @@ def test_exact_solvers_and_bands_agree_with_load_slots(inst):
 @given(instances(restricted=True))
 def test_lcp_within_three_times_opt(inst):
     assert lcp_run(inst).cost.total <= 3.0 * dp_optimal(inst).cost
+
+
+@st.composite
+def dyadic_fractional_schedules(draw):
+    """A fractional schedule on the multiples of 1/8 in [0, m], with T <= 12
+    and m <= 4; integral slots come up about one time in eight."""
+    T = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    xbar = np.array(draw(st.lists(st.integers(0, 8 * m), min_size=T, max_size=T))) / 8.0
+    return ProblemInstance(T, m, 1.0, (AffineAbsCost(1.0, 0.0),) * T), xbar
+
+
+@PROPERTY
+@given(dyadic_fractional_schedules(), st.integers(0, 2**32 - 1))
+def test_rounding_marginals_match_fractional_parts(case, seed):
+    inst, xbar = case
+    n = 4000
+    ens = rounding_ensemble(xbar, inst, n, seed)
+    frac = np.mod(xbar, 1.0)
+    integral = frac == 0.0
+    assert np.all(ens.upper_frequency[integral] == 0.0)
+    sigma = np.sqrt(frac * (1.0 - frac) / n)
+    dev = np.abs(ens.upper_frequency - frac)
+    assert np.all(dev[~integral] <= 5.0 * sigma[~integral])
