@@ -40,6 +40,7 @@ from .lcp import (
     LcpState,
     LcpTrace,
     backward_optimal,
+    lcp_breakpoints,
     lcp_init,
     lcp_run,
     lcp_step,

@@ -384,6 +384,8 @@ def _duel_randomized(policy, config: AdversaryConfig) -> DuelReport:
     # The adversary reacts to the policy's per-slot marginal, which for
     # rounding over the two-level stepping policy equals the reference
     # trajectory itself, so the workload is deterministic.
+    if policy != "random-round":
+        raise ConfigError("the randomized adversary duels the random-round policy")
     eps = config.eps
     play = _play(AlgorithmB(eps), _reference_pick(eps), _pull_costs(eps), config.T)
     score = _score_open(play, None)

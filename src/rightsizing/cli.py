@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .adversary import AdversaryConfig, run_duel
-from .lcp import lcp_init, lcp_step
+from .lcp import backward_optimal, lcp_breakpoints, lcp_init, lcp_step
 from .model import (
     AffineAbsCost,
     AlignmentError,
@@ -101,14 +101,18 @@ def cmd_solve(args) -> int:
 
 def _simulate_rows(instance: ProblemInstance, policy: str, seed: int):
     """Per-step rows (t, lower, upper, state, slot cost, cumulative cost),
-    the policy's schedule, and the offline optimum if the policy solved it."""
-    opt = None
+    the policy's schedule, and an offline-optimal schedule if the policy
+    yields one: the lazy policy's bands rebuild it."""
+    optimum = None
     bands = [("", "")] * instance.T
     if policy == "lcp":
-        state = lcp_init(instance.m, instance.beta)
-        decisions = [lcp_step(state, f) for f in instance.functions]
+        decisions = lcp_breakpoints(instance)
+        if decisions is None:
+            state = lcp_init(instance.m, instance.beta)
+            decisions = [lcp_step(state, f) for f in instance.functions]
         schedule = [d.chosen for d in decisions]
         bands = [(d.lower, d.upper) for d in decisions]
+        optimum = backward_optimal(decisions)
     elif policy == "random-round":
         xbar = fractional_grid_optimum(instance, 2)
         rng = np.random.default_rng(seed)
@@ -118,8 +122,8 @@ def _simulate_rows(instance: ProblemInstance, policy: str, seed: int):
             schedule.append(x)
             prev_xbar = xbar_t
     elif policy == "offline":
-        opt = dp_optimal(instance)
-        schedule = [int(v) for v in opt.schedule]
+        optimum = dp_optimal(instance).schedule
+        schedule = [int(v) for v in optimum]
     else:
         raise ConfigError(f"unknown policy {policy!r}")
     rows = []
@@ -131,16 +135,18 @@ def _simulate_rows(instance: ProblemInstance, policy: str, seed: int):
                                    max(x - prev, 0), abs(x - prev))
         rows.append((t, lo, hi, x, op, cum))
         prev = x
-    return rows, schedule, opt
+    return rows, schedule, optimum
 
 
 def cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
-    rows, schedule, opt = _simulate_rows(instance, args.policy, args.seed)
+    rows, schedule, optimum = _simulate_rows(instance, args.policy, args.seed)
     total = eval_cost(instance, schedule).total
-    if opt is None:
-        opt = dp_optimal(instance)
-    ratio = total / opt.cost if opt.cost > 0 else (1.0 if total == 0 else math.inf)
+    if optimum is None:
+        opt = dp_optimal(instance).cost
+    else:
+        opt = eval_cost(instance, optimum).total
+    ratio = total / opt if opt > 0 else (1.0 if total == 0 else math.inf)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "x_L", "x_U", "x_policy", "f_t_cost", "cum_cost"])

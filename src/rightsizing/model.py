@@ -56,7 +56,8 @@ class CostFunction:
     """Evaluable operating-cost function on integer server counts.
 
     Subclasses implement ``__call__`` for one state and ``eval_grid`` for
-    an array of states, and may override ``rows`` and ``violations``.
+    an array of states, and may override ``rows``, ``violations`` and
+    ``slope_breakpoints``.
     Values must be non-negative and convex; ``math.inf`` marks states that
     are infeasible for the slot.
     """
@@ -72,6 +73,12 @@ class CostFunction:
     def violations(self, m: int) -> list[str]:
         """Why this is not a valid slot cost on the states 0..m (empty if it is)."""
         return _grid_violations(self.eval_grid(np.arange(m + 1, dtype=np.int64)))
+
+    def slope_breakpoints(self) -> tuple[float, Sequence[tuple[int, float]]] | None:
+        """``(s0, [(x_i, w_i), ...])`` with ``f(x + 1) - f(x) = s0 + sum of
+        w_i over x_i <= x`` on every integer x, or None for kinds without
+        such a closed form."""
+        return None
 
     @classmethod
     def rows(cls, fns: Sequence["CostFunction"]) -> Callable[[np.ndarray], np.ndarray]:
@@ -143,6 +150,13 @@ class AffineAbsCost(CostFunction):
     def violations(self, m: int) -> list[str]:
         # Convex and non-negative for any finite parameters.
         return _parameter_violations(eps=self.eps, center=self.center)
+
+    def slope_breakpoints(self):
+        # Slope -eps left of the centre and +eps right of it; a centre
+        # between two states splits the jump over its floor and ceiling.
+        k = math.floor(self.center)
+        frac = self.center - k
+        return -self.eps, ((k, 2.0 * self.eps * (1.0 - frac)), (k + 1, 2.0 * self.eps * frac))
 
 
 class RestrictedLoadCost(CostFunction):

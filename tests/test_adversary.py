@@ -180,6 +180,12 @@ def test_randomized_duel_report():
     assert rep.policy_cost == pytest.approx(rep.fractional_cost, rel=0.05)
 
 
+@pytest.mark.parametrize("policy", ["lcp", "algorithm-b", "bogus", AlgorithmB(0.1)])
+def test_randomized_duel_rejects_other_policies(policy):
+    with pytest.raises(ConfigError):
+        run_duel(policy, AdversaryConfig(eps=0.1, variant="randomized", n_runs=10))
+
+
 def test_restricted_duel_trajectory_shifts_exactly():
     # fed the embedded workload, the lazy policy on two servers walks in
     # lockstep exactly one server above its two-level twin

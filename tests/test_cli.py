@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_table_instance
-from rightsizing import instance_from_json, instance_to_json, dp_optimal
+from conftest import random_affine_instance, random_table_instance
+from rightsizing import instance_from_json, instance_to_json, dp_optimal, solve_poly
 from rightsizing.cli import main
 
 
@@ -170,6 +170,42 @@ def test_simulate_lcp_trace(tmp_path, capsys):
     assert float(summary[5]) == 2.0  # ratio vs optimum 1
 
 
+def _summary(path):
+    total, ratio = path.read_text().strip().split("\n")[-1].split(",")[4:]
+    return float(total), float(ratio)
+
+
+@pytest.mark.parametrize("m", [1 << 22, (1 << 22) + 5])
+def test_simulate_lcp_beyond_dense_state_limit(tmp_path, m):
+    inst = random_affine_instance(np.random.default_rng(m), 200, m)
+    path = write_instance(tmp_path, instance_to_json(inst))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", path, "--policy", "lcp", "--out", str(out)]) == 0
+    total, ratio = _summary(out)
+    assert ratio == total / solve_poly(inst).cost
+
+
+@pytest.mark.parametrize("doc,steps", [
+    (e1_doc(), 3),
+    (instance_to_json(random_affine_instance(np.random.default_rng(3), 30, 40)), 0),
+])
+def test_simulate_lcp_takes_optimum_from_bands(tmp_path, monkeypatch, doc, steps):
+    # Affine-only instances take the breakpoint path; others stream lcp_step.
+    # Neither runs the full-grid oracle for the summary.
+    import rightsizing.cli as cli
+
+    calls = []
+    step = cli.lcp_step
+    monkeypatch.setattr(cli, "lcp_step", lambda *a: calls.append("step") or step(*a))
+    monkeypatch.setattr(cli, "dp_optimal", lambda *a: calls.append("oracle"))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", write_instance(tmp_path, doc), "--policy", "lcp",
+                 "--out", str(out)]) == 0
+    assert calls == ["step"] * steps
+    total, ratio = _summary(out)
+    assert ratio == total / dp_optimal(instance_from_json(doc)).cost
+
+
 def test_simulate_random_round_deterministic(tmp_path):
     rng = np.random.default_rng(1)
     inst = random_table_instance(rng, 8, 3, beta=1.0)
@@ -227,6 +263,10 @@ def test_adversary_continuous_exact(tmp_path, capsys):
 def test_adversary_invalid_combination_exit_4(capsys):
     assert main(["adversary", "--variant", "continuous", "--policy", "lcp",
                  "--eps", "0.1"]) == 4
+    for policy in ("lcp", "bogus"):
+        assert main(["adversary", "--variant", "randomized", "--policy", policy,
+                     "--eps", "0.1", "--runs", "10"]) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_adversary_byte_determinism(tmp_path):

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import random_table_instance
+from conftest import random_affine_instance, random_table_instance
 from rightsizing import (
     AffineAbsCost,
     ConfigError,
     ProblemInstance,
+    RestrictedLoadCost,
     ShapeError,
     TableCost,
     backward_optimal,
     dp_optimal,
     eval_cost,
+    lcp_breakpoints,
     lcp_init,
     lcp_run,
     lcp_step,
@@ -191,3 +193,48 @@ def test_three_competitive_on_random_suite():
         trace = lcp_run(inst)
         opt = dp_optimal(inst).cost
         assert trace.cost.total <= 3.0 * opt + 1e-9
+
+
+def test_nan_cost_counts_as_infinite():
+    inst = ProblemInstance(3, 2, 1.0, (TableCost([0, np.nan, 1]), TableCost([2, 0, 2]),
+                                       TableCost([2, 0, 2])))
+    trace = lcp_run(inst)
+    assert list(trace.schedule) == [0, 1, 1]
+    assert trace.cost.total == 1.0
+    assert list(dp_optimal(inst).schedule) == [0, 1, 1]
+
+
+def _dense_decisions(inst):
+    state = lcp_init(inst.m, inst.beta)
+    return [lcp_step(state, f) for f in inst.functions]
+
+
+def test_breakpoint_path_only_for_slope_forms():
+    affine = (AffineAbsCost(1.0, 1.5),) * 2
+    assert lcp_breakpoints(ProblemInstance(2, 3, 1.0, affine)) is not None
+    for other in (TableCost([1, 0, 0, 1]), RestrictedLoadCost(1.0, eps=1.0, slope_k=2.0)):
+        assert lcp_breakpoints(ProblemInstance(2, 3, 1.0, (affine[0], other))) is None
+
+
+def test_breakpoint_bands_match_dense_on_real_valued_instances():
+    rng = np.random.default_rng(26)
+    for m in (1, 2, 7, 64, 300):
+        for _ in range(8):
+            T = int(rng.integers(1, 120))
+            inst = random_affine_instance(rng, T, m)
+            # centres beyond [0, m] fold into the slope at 0 or drop out
+            fns = tuple(AffineAbsCost(f.eps, f.center * 1.4 - 0.2 * m) for f in inst.functions)
+            inst = inst.replace(functions=fns)
+            fast = lcp_breakpoints(inst)
+            assert fast == _dense_decisions(inst)
+            opt = dp_optimal(inst).cost
+            rebuilt = eval_cost(inst, backward_optimal(fast)).total
+            assert abs(rebuilt - opt) <= REL * max(1.0, opt)
+
+
+def test_breakpoint_path_has_no_fleet_cap():
+    m = (1 << 22) + 5
+    inst = ProblemInstance(3, m, 1.0, (AffineAbsCost(1.0, m - 0.5),) * 3)
+    trace = lcp_run(inst)
+    assert [(d.lower, d.upper) for d in trace.decisions] == [(0, m), (m - 1, m), (m - 1, m)]
+    assert list(trace.schedule) == [0, m - 1, m - 1]

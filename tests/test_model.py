@@ -288,3 +288,12 @@ def test_validate_samples_closed_forms_on_huge_fleets():
 def test_schema_errors_name_offender(doc, field):
     with pytest.raises(SchemaError, match=field):
         instance_from_json(doc)
+
+
+@pytest.mark.parametrize("center", [-3.0, -0.25, 0.0, 2.0, 2.5, 3.75, 7.0, 9.5])
+def test_affine_slope_breakpoints_give_grid_slopes(center):
+    f = AffineAbsCost(0.75, center)
+    s0, points = f.slope_breakpoints()
+    xs = np.arange(-5, 12)
+    slopes = s0 + np.array([sum(w for p, w in points if p <= x) for x in xs])
+    assert np.array_equal(slopes, f.eval_grid(xs + 1) - f.eval_grid(xs))

@@ -21,13 +21,21 @@ from rightsizing import (
     backward_optimal,
     dp_optimal,
     eval_cost,
+    lcp_breakpoints,
+    lcp_init,
     lcp_run,
+    lcp_step,
     rounding_ensemble,
     solve_poly,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 REL = 1e-9
+
+
+def dyadic_affine(m):
+    return st.builds(lambda e, c: AffineAbsCost(e / 8.0, c / 4.0),
+                     st.integers(1, 16), st.integers(0, 4 * m))
 
 
 @st.composite
@@ -37,7 +45,7 @@ def dyadic_slot(draw, m):
         slopes = sorted(draw(st.lists(st.integers(-16, 16), min_size=m, max_size=m)))
         vals = np.concatenate(([0], np.cumsum(slopes)))
         return TableCost((vals - vals.min() + draw(st.integers(0, 8))) / 8.0)
-    return AffineAbsCost(draw(st.integers(1, 16)) / 8.0, draw(st.integers(0, 4 * m)) / 4.0)
+    return draw(dyadic_affine(m))
 
 
 @st.composite
@@ -76,6 +84,24 @@ def test_exact_solvers_and_bands_agree_with_load_slots(inst):
     poly, grid, bands = solver_costs(inst)
     assert abs(poly - grid) <= REL * max(1.0, grid)
     assert abs(bands - grid) <= REL * max(1.0, grid)
+
+
+@st.composite
+def affine_instances(draw):
+    T = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 24))
+    beta = draw(st.integers(1, 32)) / 8.0
+    return ProblemInstance(T, m, beta, tuple(draw(dyadic_affine(m)) for _ in range(T)))
+
+
+@PROPERTY
+@given(affine_instances())
+def test_breakpoint_and_dense_lcp_agree_exactly_on_dyadic_data(inst):
+    state = lcp_init(inst.m, inst.beta)
+    dense = [lcp_step(state, f) for f in inst.functions]
+    fast = lcp_breakpoints(inst)
+    assert fast == dense
+    assert eval_cost(inst, backward_optimal(fast)).total == dp_optimal(inst).cost
 
 
 @PROPERTY
