@@ -26,6 +26,8 @@ from .model import (
     RestrictedLoadCost,
     StretchedCopyCost,
     eval_cost,
+    row_evaluator,
+    slot_costs,
     switching_cost,
 )
 from .offline import dp_optimal
@@ -323,9 +325,10 @@ def _score_open(play: _Play, grid: Sequence[float] | None) -> dict:
     nonzero move one switch, against the open-ended optimum over the duel's
     state grid.  With no grid the trajectory closes and no optimum is taken."""
     moves, switching = _duel_moves(play.states, close=grid is None)
-    cost = math.fsum(f(s) for f, s in zip(play.fns, play.states)) + switching
+    cost = math.fsum(slot_costs(play.fns, play.states).tolist()) + switching
     opt = None if grid is None else _open_grid_opt(
-        [[(s, f(s)) for s in grid] for f in play.fns], DUEL_BETA)
+        [list(zip(grid, row)) for row in
+         row_evaluator(play.fns)(np.tile(grid, (len(play.fns), 1))).tolist()], DUEL_BETA)
     return dict(instance=play.instance(1), policy_cost=cost, opt_cost=opt,
                 switch_count=int(np.count_nonzero(moves)))
 
@@ -349,8 +352,10 @@ def _embedding(play: _Play, eps: float, shift: int, general: DuelReport) -> dict
     """A load-model duel's extras: the largest gap between a slot's cost and
     the two-level cost ``shift`` servers lower, and the figures of the
     general two-level duel it embeds."""
-    dev = max(abs(f(x) - pull_cost(lab, eps)(x - shift))
-              for lab, f, x in zip(play.labels, play.fns, play.states))
+    pulls = _pull_costs(eps)
+    x = np.array(play.states)
+    dev = np.abs(slot_costs(play.fns, x)
+                 - slot_costs([pulls[lab] for lab in play.labels], x - shift)).max()
     return dict(embedding_max_dev=float(dev), general_policy_cost=general.policy_cost,
                 general_opt_cost=general.opt_cost, general_ratio=general.ratio)
 

@@ -36,6 +36,7 @@ from .model import (
     eval_cost,
     instance_to_json,
     load_instance,
+    slot_costs,
     switching_cost,
 )
 from .offline import dp_optimal, fractional_grid_optimum, solve_poly
@@ -126,15 +127,13 @@ def _simulate_rows(instance: ProblemInstance, policy: str, seed: int):
         schedule = [int(v) for v in optimum]
     else:
         raise ConfigError(f"unknown policy {policy!r}")
-    rows = []
-    cum = 0.0
-    prev = 0
-    for t, (f, x, (lo, hi)) in enumerate(zip(instance.functions, schedule, bands), start=1):
-        op = f(x)
-        cum += op + switching_cost(instance.beta, instance.convention,
-                                   max(x - prev, 0), abs(x - prev))
-        rows.append((t, lo, hi, x, op, cum))
-        prev = x
+    costs = slot_costs(instance.functions, schedule)
+    d = np.diff(schedule, prepend=0)
+    # cumsum adds in slot order, as a running total would.
+    cum = np.cumsum(costs + switching_cost(instance.beta, instance.convention,
+                                           np.maximum(d, 0), np.abs(d)))
+    rows = [(t, lo, hi, x, op, c) for t, (lo, hi), x, op, c in
+            zip(range(1, instance.T + 1), bands, schedule, costs.tolist(), cum.tolist())]
     return rows, schedule, optimum
 
 

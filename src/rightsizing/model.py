@@ -55,9 +55,9 @@ class SchemaError(ValueError):
 class CostFunction:
     """Evaluable operating-cost function on integer server counts.
 
-    Subclasses implement ``__call__`` for one state and ``eval_grid`` for
-    an array of states, and may override ``rows``, ``violations`` and
-    ``slope_breakpoints``.
+    Subclasses state their formula once, in the batched ``rows``; one state
+    (``__call__``) and one row of states (``eval_grid``) are evaluated
+    through it.  They may override ``violations`` and ``slope_breakpoints``.
     Values must be non-negative and convex; ``math.inf`` marks states that
     are infeasible for the slot.
     """
@@ -65,10 +65,10 @@ class CostFunction:
     kind = "abstract"
 
     def __call__(self, x: float) -> float:
-        raise NotImplementedError
+        return float(self.eval_grid(np.array([x]))[0])
 
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return type(self).rows([self])(np.asarray(xs)[None])[0]
 
     def violations(self, m: int) -> list[str]:
         """Why this is not a valid slot cost on the states 0..m (empty if it is)."""
@@ -83,9 +83,37 @@ class CostFunction:
     @classmethod
     def rows(cls, fns: Sequence["CostFunction"]) -> Callable[[np.ndarray], np.ndarray]:
         """Evaluator ``S -> F`` with ``F[r, i] = fns[r](S[r, i])`` for slots of
-        this kind; overrides gather the slots' parameters once up front."""
-        return lambda S: np.array([f.eval_grid(s) for f, s in zip(fns, S)],
-                                  dtype=np.float64)
+        this kind, gathering the slots' parameters once up front."""
+        raise NotImplementedError
+
+
+def row_evaluator(functions: Sequence[CostFunction]) -> Callable[[np.ndarray], np.ndarray]:
+    """Reusable row evaluator ``S -> F`` with ``F[t, i] = f_t(S[t, i])``.
+
+    Slots are grouped by cost kind and each kind's ``rows`` gathers its
+    parameters once, so repeated evaluations pay only vectorized work.
+    """
+    kinds = [type(f) for f in functions]
+    if len(set(kinds)) == 1:
+        return kinds[0].rows(functions)
+    groups: dict[type, list[int]] = {}
+    for t, kind in enumerate(kinds):
+        groups.setdefault(kind, []).append(t)
+    parts = [(np.array(ts), kind.rows([functions[t] for t in ts]))
+             for kind, ts in groups.items()]
+
+    def rows(S):
+        F = np.empty(np.shape(S), dtype=np.float64)
+        for ts, kind_rows in parts:
+            F[ts] = kind_rows(S[ts])
+        return F
+
+    return rows
+
+
+def slot_costs(functions: Sequence[CostFunction], states) -> np.ndarray:
+    """``f_t(x_t)`` for every slot t, in one batched evaluation."""
+    return row_evaluator(functions)(np.asarray(states)[:, None])[:, 0]
 
 
 class TableCost(CostFunction):
@@ -98,19 +126,14 @@ class TableCost(CostFunction):
         if self.values.ndim != 1 or self.values.size == 0:
             raise ShapeError("table must be a non-empty 1-d sequence")
 
-    def __call__(self, x: float) -> float:
-        return float(self.values[int(x)])
-
-    def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        return self.values[np.asarray(xs, dtype=np.int64)]
-
     @classmethod
     def rows(cls, fns):
         if len({f.values.size for f in fns}) > 1:
-            return super().rows(fns)
+            return lambda S: np.array([f.values[s] for f, s in
+                                       zip(fns, S.astype(np.int64, copy=False))])
         V = np.stack([f.values for f in fns])
         r = np.arange(len(fns))[:, None]
-        return lambda S: V[r, S]
+        return lambda S: V[r, S.astype(np.int64, copy=False)]
 
     def violations(self, m: int) -> list[str]:
         if self.values.size != m + 1:
@@ -128,12 +151,6 @@ class AffineAbsCost(CostFunction):
             raise ConfigError("eps must be positive")
         self.eps = float(eps)
         self.center = float(center)
-
-    def __call__(self, x: float) -> float:
-        return self.eps * abs(x - self.center)
-
-    def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        return self.eps * np.abs(np.asarray(xs, dtype=np.float64) - self.center)
 
     @classmethod
     def rows(cls, fns):
@@ -177,16 +194,6 @@ class RestrictedLoadCost(CostFunction):
         self.eps = eps
         self.slope_k = slope_k
 
-    def __call__(self, x: float) -> float:
-        if x < self.load:
-            return math.inf
-        if x == 0:
-            return 0.0
-        return x * (self.eps * abs(1.0 - self.slope_k * (self.load / x)))
-
-    def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        return self.rows([self])(np.asarray(xs)[None])[0]
-
     @classmethod
     def rows(cls, fns):
         load, eps, k = (np.array([[getattr(f, a)] for f in fns], dtype=np.float64)
@@ -218,11 +225,11 @@ class ScaledCost(CostFunction):
         self.inner = inner
         self.factor = float(factor)
 
-    def __call__(self, x: float) -> float:
-        return self.factor * self.inner(x)
-
-    def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        return self.factor * self.inner.eval_grid(xs)
+    @classmethod
+    def rows(cls, fns):
+        inner = row_evaluator([f.inner for f in fns])
+        factor = np.array([[f.factor] for f in fns])
+        return lambda S: factor * inner(S)
 
 
 class StretchedCopyCost(CostFunction):
@@ -240,11 +247,11 @@ class StretchedCopyCost(CostFunction):
         self.inner = inner
         self.divisor = int(divisor)
 
-    def __call__(self, x: float) -> float:
-        return self.inner(x) / self.divisor
-
-    def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        return self.inner.eval_grid(xs) / self.divisor
+    @classmethod
+    def rows(cls, fns):
+        inner = row_evaluator([f.inner for f in fns])
+        divisor = np.array([[f.divisor] for f in fns])
+        return lambda S: inner(S) / divisor
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +349,11 @@ def eval_cost(instance: ProblemInstance, schedule: Iterable[int]) -> CostBreakdo
         raise DomainError("schedule state outside [0, m]")
     if instance.allowed_step > 1 and np.any(x % instance.allowed_step != 0):
         raise DomainError(f"schedule state not a multiple of {instance.allowed_step}")
-    operating = math.fsum(f(int(v)) for f, v in zip(instance.functions, x))
+    costs = slot_costs(instance.functions, x)
+    operating = math.fsum(costs.tolist())
     if not math.isfinite(operating):
-        for t, (f, v) in enumerate(zip(instance.functions, x), start=1):
-            if not math.isfinite(f(int(v))):
-                raise InfeasibleError(f"x_{t} = {int(v)} is infeasible (cost {f(int(v))})")
+        t = int(np.argmin(np.isfinite(costs)))
+        raise InfeasibleError(f"x_{t + 1} = {int(x[t])} is infeasible (cost {costs[t]})")
     closed = np.concatenate(([0], x, [0]))
     d = np.diff(closed)
     up = int(np.maximum(d[:-1], 0).sum())          # power-ups over t = 1..T
@@ -367,29 +374,34 @@ class ContinuousEvaluator:
 
     def operating(self, t: int, x: float) -> float:
         """Interpolated cost of x in (0-based) slot t."""
-        inst = self.instance
-        if not (0 <= x <= inst.m):
-            raise DomainError(f"state {x} outside [0, {inst.m}]")
-        f = inst.functions[t]
-        lo = math.floor(x)
-        hi = math.ceil(x)
-        if lo == hi:
-            return f(lo)
-        return (hi - x) * f(lo) + (x - lo) * f(hi)
+        if not (0 <= x <= self.instance.m):
+            raise DomainError(f"state {x} outside [0, {self.instance.m}]")
+        return float(interpolated_costs(self.instance.functions[t:t + 1], np.array([x]))[0])
 
     def cost(self, xbar: Iterable[float]) -> CostBreakdown:
         arr = np.asarray(list(xbar), dtype=np.float64)
         inst = self.instance
         if arr.size != inst.T:
             raise ShapeError(f"fractional schedule length {arr.size} != T = {inst.T}")
-        if np.any(arr < 0) or np.any(arr > inst.m):
+        if not np.all((arr >= 0) & (arr <= inst.m)):
             raise DomainError("fractional state outside [0, m]")
-        operating = math.fsum(self.operating(t, v) for t, v in enumerate(arr))
+        operating = math.fsum(interpolated_costs(inst.functions, arr).tolist())
         d = np.diff(np.concatenate(([0.0], arr, [0.0])))
         switching = switching_cost(inst.beta, inst.convention,
                                    float(np.maximum(d[:-1], 0).sum()),
                                    float(np.abs(d).sum()))
         return CostBreakdown.of(operating, switching)
+
+
+def interpolated_costs(functions: Sequence[CostFunction], xbar: np.ndarray) -> np.ndarray:
+    """Per slot, ``f_t`` interpolated linearly between the integers around
+    ``xbar_t``; exactly ``f_t(xbar_t)`` at integers."""
+    lo, hi = np.floor(xbar), np.ceil(xbar)
+    F = row_evaluator(functions)(np.stack([lo, hi], axis=1).astype(np.int64))
+    # Integer lanes would weigh f by 0, and 0 * inf is NaN; they keep f(lo).
+    with np.errstate(invalid="ignore"):
+        mixed = (hi - xbar) * F[:, 0] + (xbar - lo) * F[:, 1]
+    return np.where(lo == hi, F[:, 0], mixed)
 
 
 def extend_continuous(instance: ProblemInstance) -> ContinuousEvaluator:

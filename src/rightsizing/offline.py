@@ -35,6 +35,7 @@ from .model import (
     TableCost,
     eval_cost,
 )
+from .model import row_evaluator as _row_evaluator
 
 _REFINE_OFFSETS = np.array([-2, -1, 0, 1, 2], dtype=np.int64)
 
@@ -57,30 +58,6 @@ class SolveResult:
 def evaluate_rows(functions: Sequence[CostFunction], states: np.ndarray) -> np.ndarray:
     """Operating costs for one candidate row of states per slot."""
     return _row_evaluator(functions)(states)
-
-
-def _row_evaluator(functions: Sequence[CostFunction]):
-    """Reusable row evaluator ``S -> F`` with ``F[t, i] = f_t(S[t, i])``.
-
-    Slots are grouped by cost kind and each kind's ``rows`` gathers its
-    parameters once, so repeated refinement passes pay only vectorized work.
-    """
-    kinds = [type(f) for f in functions]
-    if len(set(kinds)) == 1:
-        return kinds[0].rows(functions)
-    groups: dict[type, list[int]] = {}
-    for t, kind in enumerate(kinds):
-        groups.setdefault(kind, []).append(t)
-    parts = [(np.array(ts), kind.rows([functions[t] for t in ts]))
-             for kind, ts in groups.items()]
-
-    def rows(S):
-        F = np.empty(S.shape, dtype=np.float64)
-        for ts, kind_rows in parts:
-            F[ts] = kind_rows(S[ts])
-        return F
-
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -183,29 +160,42 @@ def _climb_min(c: np.ndarray, ramp: np.ndarray) -> np.ndarray:
     return np.minimum(np.minimum.accumulate(c), climb, out=climb)
 
 
+#: Cells per block of slots whose costs ``_dp_grid`` evaluates at once: a
+#: full T x (m+1) cost table would double the memory of the DP.
+_DP_BLOCK_CELLS = 1 << 16
+
+
 def _dp_grid(instance: ProblemInstance) -> tuple[np.ndarray, int]:
     """O(m)-per-column DP over the full allowed grid, one climb step per
-    column.  NaN costs count as +inf, as in the window kernel."""
+    column; each pass evaluates the costs a block of slots at a time.
+    NaN costs count as +inf, as in the window kernel."""
     states = instance.allowed_states()
     sf = states.astype(np.float64)
     beta = instance.beta
     ramp = beta * sf
     fns = instance.functions
-    T = instance.T
-    H = np.empty((T, states.size), dtype=np.float64)
+    T, n = instance.T, states.size
+    step = max(1, _DP_BLOCK_CELLS // n)
+
+    def slot_rows(ts):
+        for i in range(0, len(ts), step):
+            block = ts[i:i + step]
+            F = evaluate_rows([fns[t] for t in block], np.broadcast_to(states, (len(block), n)))
+            yield from zip(block, np.fmin(F, np.inf))
+
+    H = np.empty((T, n), dtype=np.float64)
     H[T - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        H[t] = _climb_min(np.fmin(fns[t + 1].eval_grid(states), np.inf) + H[t + 1], ramp)
+    for t, f in slot_rows(range(T - 1, 0, -1)):
+        H[t - 1] = _climb_min(f + H[t], ramp)
     x = np.empty(T, dtype=np.int64)
-    v = ramp + np.fmin(fns[0].eval_grid(states), np.inf) + H[0]
-    if not np.isfinite(v.min()):
-        raise InfeasibleError("no feasible schedule exists")
-    x[0] = states[int(np.argmin(v))]
-    for t in range(1, T):
-        climb = beta * np.maximum(sf - x[t - 1], 0.0)
-        v = climb + np.fmin(fns[t].eval_grid(states), np.inf) + H[t]
+    climb = ramp
+    for t, f in slot_rows(range(T)):
+        v = climb + f + H[t]
+        if t == 0 and not np.isfinite(v.min()):
+            raise InfeasibleError("no feasible schedule exists")
         x[t] = states[int(np.argmin(v))]
-    return x, T * states.size
+        climb = beta * np.maximum(sf - x[t], 0.0)
+    return x, T * n
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +253,13 @@ class PaddedCost(CostFunction):
     def __init__(self, inner: CostFunction, m_orig: int, eps_pad: float):
         self.inner = inner
         self.m_orig = int(m_orig)
-        self.slope = inner(m_orig) + eps_pad
-
-    def __call__(self, x: float) -> float:
-        if x <= self.m_orig:
-            return self.inner(x)
-        return x * self.slope
-
-    def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs)
-        inside = self.inner.eval_grid(np.minimum(xs, self.m_orig))
-        return np.where(xs <= self.m_orig, inside, xs * self.slope)
+        self.eps_pad = eps_pad
 
     @classmethod
     def rows(cls, fns):
         inner = _row_evaluator([f.inner for f in fns])
         m0 = np.array([f.m_orig for f in fns])[:, None]
-        slope = np.array([f.slope for f in fns])[:, None]
+        slope = inner(m0) + np.array([f.eps_pad for f in fns])[:, None]
         return lambda S: np.where(S <= m0, inner(np.minimum(S, m0)), S * slope)
 
 
@@ -366,11 +346,11 @@ class _DomainScaledCost(CostFunction):
         self.inner = inner
         self.factor = int(factor)
 
-    def __call__(self, x: float) -> float:
-        return self.inner(x * self.factor)
-
-    def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        return self.inner.eval_grid(np.asarray(xs) * self.factor)
+    @classmethod
+    def rows(cls, fns):
+        inner = _row_evaluator([f.inner for f in fns])
+        factor = np.array([[f.factor] for f in fns])
+        return lambda S: inner(S * factor)
 
 
 def restrict_phi(instance: ProblemInstance, k: int) -> ProblemInstance:
@@ -423,23 +403,22 @@ class _FractionalGridCost(CostFunction):
         self.inner = inner
         self.denom = int(denom)
 
-    def __call__(self, j: float) -> float:
-        num, denom = int(j), self.denom
-        q, r = divmod(num, denom)
-        if r == 0:
-            return self.inner(q)
-        frac = r / denom
-        return (1.0 - frac) * self.inner(q) + frac * self.inner(q + 1)
+    @classmethod
+    def rows(cls, fns):
+        inner = _row_evaluator([f.inner for f in fns])
+        denom = np.array([[f.denom] for f in fns])
 
-    def eval_grid(self, js: np.ndarray) -> np.ndarray:
-        q, r = np.divmod(np.asarray(js, dtype=np.int64), self.denom)
-        # On-grid lanes read q twice, never past m, and keep f(q): 0 * inf is NaN.
-        lo = self.inner.eval_grid(q)
-        hi = self.inner.eval_grid(np.where(r == 0, q, q + 1))
-        frac = r / self.denom
-        with np.errstate(invalid="ignore"):
-            mixed = (1.0 - frac) * lo + frac * hi
-        return np.where(r == 0, lo, mixed)
+        def rows(J):
+            q, r = np.divmod(J.astype(np.int64, copy=False), denom)
+            # On-grid lanes read q twice, never past m, and keep f(q): 0 * inf is NaN.
+            lo = inner(q)
+            hi = inner(np.where(r == 0, q, q + 1))
+            frac = r / denom
+            with np.errstate(invalid="ignore"):
+                mixed = (1.0 - frac) * lo + frac * hi
+            return np.where(r == 0, lo, mixed)
+
+        return rows
 
 
 def fractional_grid_optimum(instance: ProblemInstance, denom: int = 2) -> np.ndarray:

@@ -24,6 +24,7 @@ from .model import (
     ProblemInstance,
     eval_cost,
     extend_continuous,
+    row_evaluator,
     switching_cost,
 )
 
@@ -51,7 +52,7 @@ class FractionalPolicy(Protocol):
 
 def classify_pull(f: CostFunction) -> str:
     """Which of the two levels a V-shaped cost function pulls toward."""
-    lo, hi = f(0), f(1)
+    lo, hi = f.eval_grid(np.array([0, 1])).tolist()
     if lo < hi:
         return TOWARD_ZERO
     if lo > hi:
@@ -237,6 +238,10 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     arr = np.asarray(xbar, dtype=np.float64)
     if arr.size != instance.T:
         raise ConfigError(f"fractional schedule length {arr.size} != T = {instance.T}")
+    if not np.all((arr >= 0) & (arr <= instance.m)):
+        raise DomainError("fractional state outside [0, m]")
+    S = np.stack([np.floor(arr), np.ceil(arr)], axis=1).astype(np.int64)
+    F = row_evaluator(instance.functions)(S)
     rng = np.random.default_rng(seed)
     x = np.zeros(n_runs, dtype=np.int64)
     operating = np.zeros(n_runs, dtype=np.float64)
@@ -244,12 +249,9 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     downs = np.zeros(n_runs, dtype=np.int64)
     upper = np.empty(instance.T, dtype=np.float64)
     prev_xbar = 0.0
-    for t, f in enumerate(instance.functions):
+    for t, ((lo, hi), (f_lo, f_hi)) in enumerate(zip(S, F)):
         u = rng.random(n_runs)
         x_new = _advance(x, prev_xbar, float(arr[t]), u)
-        lo = math.floor(arr[t])
-        hi = math.ceil(arr[t])
-        f_lo, f_hi = f(lo), f(hi)
         operating += np.where(x_new == hi, f_hi, f_lo)
         d = x_new - x
         ups += np.maximum(d, 0)

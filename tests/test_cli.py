@@ -346,6 +346,28 @@ def mixed_doc(convention):
     }
 
 
+# The same kinds with non-dyadic parameters, recorded before each kind's
+# formula moved into its batched ``rows``. Its costs round, so a formula
+# whose float operations are reordered changes these bytes; loads stay
+# integers so that rounding stays feasible.
+def nondyadic_doc(convention):
+    return {
+        "T": 10, "m": 6, "beta": 0.7, "convention": convention,
+        "functions": [
+            {"kind": "table", "values": [3.1, 1.7, 0.9, 0.3, 0.6, 1.3, 2.7]},
+            {"kind": "affine_abs", "eps": 0.3, "center": 2.7},
+            {"kind": "restricted", "eps": 0.7, "slope_k": 2.7, "lambda": 2.0},
+            {"kind": "affine_abs", "eps": 1.1, "center": 4.3},
+            {"kind": "table", "values": [5.3, 3.9, 2.7, 1.7, 0.9, 0.3, 0.1]},
+            {"kind": "restricted", "eps": 0.3, "slope_k": 1.3, "lambda": 3.0},
+            {"kind": "affine_abs", "eps": 0.7, "center": 0.9},
+            {"kind": "table", "values": [0.1, 0.4, 1.1, 2.2, 3.7, 5.6, 7.9]},
+            {"kind": "restricted", "eps": 0.9, "slope_k": 0.7, "lambda": 1.0},
+            {"kind": "affine_abs", "eps": 2.7, "center": 5.1},
+        ],
+    }
+
+
 GOLDEN_ADVERSARY = {
     "discrete-lcp": ["--variant", "discrete", "--policy", "lcp",
                      "--eps", "0.25", "--T", "40"],
@@ -377,16 +399,28 @@ GOLDEN_DIGESTS = {
     "adversary-restricted-lcp": "a86d2541af246c43",
     "adversary-restricted-algorithm-b": "f00a2d080e63e46b",
     "adversary-restricted-lcp-dump": "6100e2c0aad229a7",
+    "nondyadic-solve-poly-up_only": "438719d871cfe771",
+    "nondyadic-solve-oracle-up_only": "609e78901800b1e7",
+    "nondyadic-simulate-lcp-up_only": "543131cb2fc13672",
+    "nondyadic-simulate-random-round-up_only": "bd48fa43d67963e6",
+    "nondyadic-simulate-offline-up_only": "bd48fa43d67963e6",
+    "nondyadic-solve-poly-symmetric": "438719d871cfe771",
+    "nondyadic-solve-oracle-symmetric": "609e78901800b1e7",
+    "nondyadic-simulate-lcp-symmetric": "62a6f9117a9df5fe",
+    "nondyadic-simulate-random-round-symmetric": "9bf6cb2bbab4557e",
+    "nondyadic-simulate-offline-symmetric": "9bf6cb2bbab4557e",
 }
 
 
 def _golden_cases():
-    for conv in ("up_only", "symmetric"):
-        for algo in ("poly", "oracle"):
-            yield f"solve-{algo}-{conv}", conv, ["solve", "--algorithm", algo]
-        for policy in ("lcp", "random-round", "offline"):
-            yield (f"simulate-{policy}-{conv}", conv,
-                   ["simulate", "--policy", policy, "--seed", "5"])
+    for prefix, make_doc in (("", mixed_doc), ("nondyadic-", nondyadic_doc)):
+        for conv in ("up_only", "symmetric"):
+            for algo in ("poly", "oracle"):
+                yield (f"{prefix}solve-{algo}-{conv}", make_doc(conv),
+                       ["solve", "--algorithm", algo])
+            for policy in ("lcp", "random-round", "offline"):
+                yield (f"{prefix}simulate-{policy}-{conv}", make_doc(conv),
+                       ["simulate", "--policy", policy, "--seed", "5"])
     for name, argv in GOLDEN_ADVERSARY.items():
         yield f"adversary-{name}", None, ["adversary"] + argv
     yield ("adversary-restricted-lcp-dump", None,
@@ -394,14 +428,13 @@ def _golden_cases():
            + ["--out", "report.json", "--dump-instance"])
 
 
-@pytest.mark.parametrize("name,convention,argv", [
+@pytest.mark.parametrize("name,doc,argv", [
     pytest.param(*case, id=case[0]) for case in _golden_cases()])
-def test_output_bytes_match_golden_digest(tmp_path, monkeypatch, name,
-                                          convention, argv):
+def test_output_bytes_match_golden_digest(tmp_path, monkeypatch, name, doc, argv):
     # The digested file is the last flag's value (--out, or --dump-instance).
     monkeypatch.chdir(tmp_path)
-    if convention is not None:
-        argv = argv[:1] + [write_instance(tmp_path, mixed_doc(convention))] + argv[1:]
+    if doc is not None:
+        argv = argv[:1] + [write_instance(tmp_path, doc)] + argv[1:]
     if argv[-1] != "--dump-instance":
         argv = argv + ["--out"]
     assert main(argv + ["golden.out"]) == 0

@@ -7,6 +7,7 @@ import pytest
 from conftest import convex_table, dyadic_beta, random_table_instance
 from rightsizing import (
     AffineAbsCost,
+    CostFunction,
     DomainError,
     InfeasibleError,
     ProblemInstance,
@@ -14,10 +15,14 @@ from rightsizing import (
     ShapeError,
     StretchedCopyCost,
     TableCost,
+    dp_optimal,
     eval_cost,
     extend_continuous,
     instance_from_json,
     instance_to_json,
+    lcp_run,
+    rounding_ensemble,
+    solve_poly,
     validate_instance,
 )
 from rightsizing.model import SchemaError
@@ -105,6 +110,9 @@ def test_continuous_extension_interpolates():
         assert ev2.operating(0, x) == inst2.functions[0](x)
     with pytest.raises(DomainError):
         ev2.operating(0, 2.5)
+    for bad in (2.5, -0.5, math.nan):
+        with pytest.raises(DomainError):
+            ev2.cost([bad])
 
 
 def test_continuous_extension_convex_along_grid():
@@ -297,3 +305,58 @@ def test_affine_slope_breakpoints_give_grid_slopes(center):
     xs = np.arange(-5, 12)
     slopes = s0 + np.array([sum(w for p, w in points if p <= x) for x in xs])
     assert np.array_equal(slopes, f.eval_grid(xs + 1) - f.eval_grid(xs))
+
+
+class RowsOnlyTable(CostFunction):
+    """A table kind that states its formula only in ``rows``; counts the
+    evaluators built from it."""
+
+    kind = "rows_only_table"
+    built = 0
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    @classmethod
+    def rows(cls, fns):
+        cls.built += 1
+        V = np.stack([f.values for f in fns])
+        r = np.arange(len(fns))[:, None]
+        return lambda S: V[r, S]
+
+
+def _rows_only_twin(instance):
+    return instance.replace(functions=tuple(RowsOnlyTable(f.values)
+                                            for f in instance.functions))
+
+
+def test_kind_defining_only_rows_matches_table_everywhere():
+    rng = np.random.default_rng(21)
+    ref = random_table_instance(rng, 24, 4)
+    twin = _rows_only_twin(ref)
+    x = dp_optimal(ref).schedule
+    assert eval_cost(twin, x) == eval_cost(ref, x)
+    for solve in (dp_optimal, solve_poly):
+        a, b = solve(twin), solve(ref)
+        assert np.array_equal(a.schedule, b.schedule) and a.cost == b.cost
+    assert lcp_run(twin).decisions == lcp_run(ref).decisions
+    xbar = np.clip(np.cumsum(rng.uniform(-1.0, 1.0, size=24)), 0.0, 4.0)
+    assert extend_continuous(twin).cost(xbar) == extend_continuous(ref).cost(xbar)
+    assert np.array_equal(rounding_ensemble(xbar, twin, 64, seed=5).costs,
+                          rounding_ensemble(xbar, ref, 64, seed=5).costs)
+    assert validate_instance(twin) == validate_instance(ref) == []
+    bent = ProblemInstance(1, 4, 1.0, (TableCost([0.0, 2.0, 3.0, 3.5, 9.0]),))
+    assert validate_instance(_rows_only_twin(bent)) == validate_instance(bent) != []
+
+
+def test_whole_schedule_evaluations_build_a_fixed_number_of_evaluators():
+    built = {}
+    for T in (16, 256):
+        twin = _rows_only_twin(random_table_instance(np.random.default_rng(T), T, 4))
+        x = np.full(T, 2)
+        start = RowsOnlyTable.built
+        eval_cost(twin, x)
+        mid = RowsOnlyTable.built
+        dp_optimal(twin)
+        built[T] = (mid - start, RowsOnlyTable.built - mid)
+    assert built[16] == built[256]

@@ -224,3 +224,19 @@ def test_algorithm_b_policy_against_pull_functions():
     assert policy.step(AffineAbsCost(1.0, 1.0)) == 0.5
     assert policy.step(AffineAbsCost(1.0, 0.0)) == 0.25
     assert policy.fractional_state == 0.25
+
+
+@pytest.mark.parametrize("kind,xbar", [("affine_abs", [5.5, -1.5]),
+                                       ("table", [-0.5, 1.0]),
+                                       ("table", [5.5, 1.0]),
+                                       ("table", [math.nan, 1.0])])
+def test_ensemble_rejects_states_outside_the_fleet(kind, xbar):
+    # A negative floor would read a table from its end, one past m fails to
+    # index it, and the closed forms would extrapolate past the fleet.
+    if kind == "table":
+        fns = (TableCost([4.0, 2.0, 1.0, 2.0, 4.0]),) * 2
+    else:
+        fns = (AffineAbsCost(1.0, 0.0), AffineAbsCost(2.0, 3.0))
+    inst = ProblemInstance(2, 4, 1.0, fns)
+    with pytest.raises(DomainError):
+        rounding_ensemble(xbar, inst, 4, seed=0)
