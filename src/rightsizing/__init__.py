@@ -12,7 +12,6 @@ from .model import (
     InfeasibleError,
     ProblemInstance,
     RestrictedLoadCost,
-    ScaledCost,
     SchemaError,
     ShapeError,
     StretchedCopyCost,

@@ -214,24 +214,6 @@ class RestrictedLoadCost(CostFunction):
         return _parameter_violations(eps=self.eps, slope_k=self.slope_k, load=self.load)
 
 
-class ScaledCost(CostFunction):
-    """Another cost function multiplied by a positive factor."""
-
-    kind = "scaled"
-
-    def __init__(self, inner: CostFunction, factor: float):
-        if factor <= 0:
-            raise ConfigError("factor must be positive")
-        self.inner = inner
-        self.factor = float(factor)
-
-    @classmethod
-    def rows(cls, fns):
-        inner = row_evaluator([f.inner for f in fns])
-        factor = np.array([[f.factor] for f in fns])
-        return lambda S: factor * inner(S)
-
-
 class StretchedCopyCost(CostFunction):
     """One of ``divisor`` equal-weight copies of a cost function.
 

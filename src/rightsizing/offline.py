@@ -4,24 +4,21 @@ Two solvers are provided: a plain dynamic program over a per-slot layered
 state graph (the oracle, linear in m), and a binary-search solver that
 repeatedly optimizes over five-state windows and runs in O(T log m).
 Both return the lexicographically smallest minimum-cost schedule. The
-window kernel is C (``window_dp.c``, compiled on first use) with a numpy
-twin that gives the same schedules where no C compiler works.
+window kernel and the full DP's backward and forward passes are C
+(``kernels.c``, compiled on first use by ``kernels.load``, never at import),
+each with a numpy twin that gives the same schedules bit for bit where no C
+compiler works.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import math
-import os
-import subprocess
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .model import (
     AffineAbsCost,
     AlignmentError,
@@ -72,9 +69,9 @@ def _window_dp(S, F, beta):
 
     Runs the compiled kernel when a C compiler is at hand, else the numpy
     one; both give the same schedule bit for bit."""
-    kernel = _compiled_kernel()
+    lib = kernels.load()
     # The numpy kernel also raises the errors for empty or mismatched arrays.
-    if kernel is None or np.size(S) == 0 or np.shape(S) != np.shape(F):
+    if lib is None or np.size(S) == 0 or np.shape(S) != np.shape(F):
         return _window_dp_numpy(S, F, beta)
     S, F = (a if a.flags.forc else np.ascontiguousarray(a)
             for a in (np.asarray(S, dtype=np.int64), np.asarray(F, dtype=np.float64)))
@@ -82,34 +79,10 @@ def _window_dp(S, F, beta):
     x = np.empty(T, dtype=np.int64)
     P = np.empty(max(T - 1, 0) * W, dtype=np.int64)
     work = np.empty(2 * W, dtype=np.float64)
-    ok = kernel(T, W, S.ctypes.data, *(n // 8 for n in S.strides),
-                F.ctypes.data, *(n // 8 for n in F.strides), float(beta),
-                work.ctypes.data, P.ctypes.data, x.ctypes.data)
+    ok = lib.window_dp(T, W, S.ctypes.data, *(n // 8 for n in S.strides),
+                       F.ctypes.data, *(n // 8 for n in F.strides), float(beta),
+                       work.ctypes.data, P.ctypes.data, x.ctypes.data)
     return x, bool(ok)
-
-
-@functools.cache
-def _compiled_kernel():
-    """``window_dp`` from ``window_dp.c``, built on first use into the
-    package's ``__pycache__`` under a name keyed by the source hash; None
-    when no C compiler works or the directory is not writable."""
-    src = Path(__file__).with_name("window_dp.c")
-    try:
-        tag = hashlib.sha256(src.read_bytes()).hexdigest()[:16]
-        lib = src.parent / "__pycache__" / f"window_dp-{tag}.so"
-        if not lib.exists():
-            lib.parent.mkdir(exist_ok=True)
-            tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
-            subprocess.run(["cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC",
-                            "-o", str(tmp), str(src)], check=True, capture_output=True)
-            os.replace(tmp, lib)
-        fn = ctypes.CDLL(str(lib)).window_dp
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, ptr, i64, i64, ptr, i64, i64, ctypes.c_double, ptr, ptr, ptr]
-    fn.restype = ctypes.c_int
-    return fn
 
 
 def _window_dp_numpy(S, F, beta):
@@ -167,8 +140,9 @@ _DP_BLOCK_CELLS = 1 << 16
 
 def _dp_grid(instance: ProblemInstance) -> tuple[np.ndarray, int]:
     """O(m)-per-column DP over the full allowed grid, one climb step per
-    column; each pass evaluates the costs a block of slots at a time.
-    NaN costs count as +inf, as in the window kernel."""
+    column; each pass evaluates the costs a block of slots at a time and
+    hands the block to its kernel.  NaN costs count as +inf, as in the
+    window kernel."""
     states = instance.allowed_states()
     sf = states.astype(np.float64)
     beta = instance.beta
@@ -177,25 +151,66 @@ def _dp_grid(instance: ProblemInstance) -> tuple[np.ndarray, int]:
     T, n = instance.T, states.size
     step = max(1, _DP_BLOCK_CELLS // n)
 
-    def slot_rows(ts):
+    def blocks(ts):
         for i in range(0, len(ts), step):
             block = ts[i:i + step]
-            F = evaluate_rows([fns[t] for t in block], np.broadcast_to(states, (len(block), n)))
-            yield from zip(block, np.fmin(F, np.inf))
+            yield block[0], evaluate_rows([fns[t] for t in block],
+                                          np.broadcast_to(states, (len(block), n)))
 
     H = np.empty((T, n), dtype=np.float64)
     H[T - 1] = 0.0
-    for t, f in slot_rows(range(T - 1, 0, -1)):
-        H[t - 1] = _climb_min(f + H[t], ramp)
+    for t, F in blocks(range(T - 1, 0, -1)):
+        _grid_backward(F, H, t, ramp)
     x = np.empty(T, dtype=np.int64)
-    climb = ramp
-    for t, f in slot_rows(range(T)):
-        v = climb + f + H[t]
-        if t == 0 and not np.isfinite(v.min()):
+    for t, F in blocks(range(T)):
+        if not _grid_forward(F, H, t, states, sf, beta, x) and t == 0:
             raise InfeasibleError("no feasible schedule exists")
-        x[t] = states[int(np.argmin(v))]
-        climb = beta * np.maximum(sf - x[t], 0.0)
     return x, T * n
+
+
+def _grid_backward(F, H, t, ramp):
+    """Backward pass over the slots t, t-1, ... whose costs are the rows of
+    ``F``: ``H[t-1-r]`` becomes the climb minimum of ``F[r] + H[t-r]``.
+    ``H`` is a C-ordered float64 table with a row per slot, and t >= len(F).
+    Runs the compiled kernel when there is one, else the numpy twin."""
+    lib = kernels.load()
+    if lib is None:
+        return _grid_backward_numpy(F, H, t, ramp)
+    F = np.ascontiguousarray(F, dtype=np.float64)
+    work = np.empty(H.shape[1], dtype=np.float64)
+    lib.grid_backward(len(F), H.shape[1], F.ctypes.data, ramp.ctypes.data,
+                      H[t].ctypes.data, work.ctypes.data)
+
+
+def _grid_backward_numpy(F, H, t, ramp):
+    for r, f in enumerate(np.fmin(F, np.inf)):
+        H[t - 1 - r] = _climb_min(f + H[t - r], ramp)
+
+
+def _grid_forward(F, H, t, states, sf, beta, x) -> bool:
+    """Forward pass over the slots t, t+1, ... whose costs are the rows of
+    ``F``: each slot's first cheapest state, reached from the state chosen
+    before it (0 before slot 0), goes into ``x``.  Returns whether slot t's
+    minimum is finite.  Runs the compiled kernel when there is one, else the
+    numpy twin."""
+    lib = kernels.load()
+    if lib is None:
+        return _grid_forward_numpy(F, H, t, states, sf, beta, x)
+    F = np.ascontiguousarray(F, dtype=np.float64)
+    return bool(lib.grid_forward(len(F), len(states), F.ctypes.data, H[t].ctypes.data,
+                                 states.ctypes.data, sf.ctypes.data, float(beta),
+                                 int(x[t - 1]) if t else 0, x[t:].ctypes.data))
+
+
+def _grid_forward_numpy(F, H, t, states, sf, beta, x) -> bool:
+    prev = x[t - 1] if t else 0
+    finite = True
+    for r, f in enumerate(np.fmin(F, np.inf)):
+        v = beta * np.maximum(sf - prev, 0.0) + f + H[t + r]
+        i = int(np.argmin(v))
+        finite = finite if r else bool(np.isfinite(v[i]))
+        x[t + r] = prev = states[i]
+    return finite
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ Rounding keeps each slot's integer state on the floor or ceiling of the
 fractional state, choosing transition probabilities so that the chance of
 sitting on the ceiling always equals the fractional part.  This preserves
 both expected operating cost and expected switching cost exactly.
+
+An ensemble of runs advances a block of slots per call of a C kernel
+(``kernels.c``, compiled on first use by ``kernels.load``, never at
+import); its numpy twin gives the same results bit for bit where no C
+compiler works.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from . import kernels
 from .model import (
     ConfigError,
     ContractError,
@@ -34,6 +40,11 @@ TOWARD_ZERO = "toward0"
 TOWARD_ONE = "toward1"
 
 _PROB_SLACK = 1e-9
+
+#: Uniform draws per block of ``rounding_ensemble``: 128 KiB, about what the
+#: numpy twin's temporaries take for one slot of 4000 runs, so the buffer
+#: does not raise the peak memory of a duel.
+_DRAW_BLOCK_CELLS = 1 << 14
 
 
 class FractionalPolicy(Protocol):
@@ -147,27 +158,34 @@ def _checked_prob(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _advance(x_prev: np.ndarray, xbar_prev: float, xbar_t: float,
+def _transition(xbar_prev: float, xbar_t: float) -> tuple[int, int, float, int]:
+    """One slot's rounding step: the floor and ceiling of ``xbar_t``, the
+    probability of moving, and the direction of the move (1 up to the
+    ceiling, -1 down to the floor, 0 when ``xbar_t`` is integral)."""
+    lo = math.floor(xbar_t)
+    hi = math.ceil(xbar_t)
+    if lo == hi:
+        return lo, hi, 0.0, 0
+    proj = min(max(xbar_prev, float(lo)), float(hi))
+    frac_proj = proj - math.floor(proj)
+    if xbar_prev <= xbar_t:
+        return lo, hi, _checked_prob((xbar_t - proj) / (1.0 - frac_proj)), 1
+    den = frac_proj if frac_proj > 0.0 else 1.0  # projection sits on the ceiling
+    return lo, hi, _checked_prob((proj - xbar_t) / den), -1
+
+
+def _advance(x_prev: np.ndarray, lo: int, hi: int, p: float, direction: int,
              u: np.ndarray) -> np.ndarray:
     """Vectorized one-slot transition for many independent runs.
 
     ``u`` holds one uniform draw per run; it is ignored on slots where the
-    transition is deterministic.
+    transition is deterministic.  A run already at the target stays there.
     """
-    lo = math.floor(xbar_t)
-    hi = math.ceil(xbar_t)
-    if lo == hi:
+    if direction == 0:
         return np.full_like(x_prev, lo)
-    proj = min(max(xbar_prev, float(lo)), float(hi))
-    frac_proj = proj - math.floor(proj)
-    if xbar_prev <= xbar_t:
-        p_up = _checked_prob((xbar_t - proj) / (1.0 - frac_proj))
-        moved = np.where(u < p_up, hi, lo)
-        return np.where(x_prev == hi, hi, moved)
-    den = frac_proj if frac_proj > 0.0 else 1.0  # projection sits on the ceiling
-    p_down = _checked_prob((proj - xbar_t) / den)
-    moved = np.where(u < p_down, lo, hi)
-    return np.where(x_prev == lo, lo, moved)
+    if direction > 0:
+        return np.where(x_prev == hi, hi, np.where(u < p, hi, lo))
+    return np.where(x_prev == lo, lo, np.where(u < p, lo, hi))
 
 
 def round_step(x_prev: int, xbar_prev: float, xbar_t: float,
@@ -178,7 +196,7 @@ def round_step(x_prev: int, xbar_prev: float, xbar_t: float,
     if math.floor(xbar_t) == math.ceil(xbar_t):
         return int(xbar_t)
     u = np.array([rng.random()])
-    out = _advance(np.array([x_prev], dtype=np.int64), xbar_prev, xbar_t, u)
+    out = _advance(np.array([x_prev], dtype=np.int64), *_transition(xbar_prev, xbar_t), u)
     return int(out[0])
 
 
@@ -232,8 +250,8 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     """Many independent rounding runs of one fractional schedule at once.
 
     All runs share the per-slot transition probabilities, so the whole
-    ensemble advances with vectorized draws; used for marginal and
-    expected-cost estimates.
+    ensemble advances a block of slots per kernel call, on one uniform draw
+    per run and slot; used for marginal and expected-cost estimates.
     """
     arr = np.asarray(xbar, dtype=np.float64)
     if arr.size != instance.T:
@@ -241,26 +259,65 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     if not np.all((arr >= 0) & (arr <= instance.m)):
         raise DomainError("fractional state outside [0, m]")
     S = np.stack([np.floor(arr), np.ceil(arr)], axis=1).astype(np.int64)
-    F = row_evaluator(instance.functions)(S)
+    F = np.ascontiguousarray(row_evaluator(instance.functions)(S), dtype=np.float64)
+    # Every probability is checked before the first draw.
+    p, direction = _transitions(arr)
     rng = np.random.default_rng(seed)
     x = np.zeros(n_runs, dtype=np.int64)
     operating = np.zeros(n_runs, dtype=np.float64)
     ups = np.zeros(n_runs, dtype=np.int64)
     downs = np.zeros(n_runs, dtype=np.int64)
-    upper = np.empty(instance.T, dtype=np.float64)
-    prev_xbar = 0.0
-    for t, ((lo, hi), (f_lo, f_hi)) in enumerate(zip(S, F)):
-        u = rng.random(n_runs)
-        x_new = _advance(x, prev_xbar, float(arr[t]), u)
-        operating += np.where(x_new == hi, f_hi, f_lo)
+    upper = np.empty(instance.T, dtype=np.float64)  # runs above the floor, then their share
+    # A block of draws, at most _DRAW_BLOCK_CELLS of them unless one slot
+    # needs more, takes the same numbers from the generator as one call per slot.
+    U = np.empty((max(1, _DRAW_BLOCK_CELLS // max(n_runs, 1)), n_runs), dtype=np.float64)
+    for t in range(0, instance.T, len(U)):
+        block = U[:instance.T - t]
+        rng.random(out=block)
+        _ensemble_block(t, block, S, p, direction, F, x, operating, ups, downs, upper)
+    downs += x  # closing power-down to the all-asleep end state
+    switching = switching_cost(instance.beta, instance.convention, ups, ups + downs)
+    # Estimates marginal_upper: 0 on integral slots, where hi == lo.
+    upper /= n_runs
+    return EnsembleResult(costs=operating + switching, upper_frequency=upper, seed=seed)
+
+
+def _transitions(xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot, the move probability and direction of ``_transition``,
+    starting from 0 before the first slot."""
+    p = np.empty(xbar.size, dtype=np.float64)
+    direction = np.empty(xbar.size, dtype=np.int8)
+    prev = 0.0
+    for t in range(xbar.size):
+        cur = float(xbar[t])
+        _, _, p[t], direction[t] = _transition(prev, cur)
+        prev = cur
+    return p, direction
+
+
+def _ensemble_block(t, U, S, p, direction, F, x, operating, ups, downs, upper):
+    """Advances the runs over the slots t, t+1, ..., one row of draws ``U``
+    per slot: the state ``x``, the operating cost and the up and down moves
+    of each run, and per slot ``upper``, the number of runs above the floor
+    ``S[t, 0]``.  Every array is C-ordered with the dtype
+    ``rounding_ensemble`` gives it.  Runs the compiled kernel when there is
+    one, else the numpy twin."""
+    lib = kernels.load()
+    if lib is None:
+        return _ensemble_block_numpy(t, U, S, p, direction, F, x, operating,
+                                     ups, downs, upper)
+    lib.ensemble_block(t, U.shape[0], U.shape[1],
+                       *(a.ctypes.data for a in (S, p, direction, F, U, x, operating,
+                                                 ups, downs, upper)))
+
+
+def _ensemble_block_numpy(t, U, S, p, direction, F, x, operating, ups, downs, upper):
+    for t, u in enumerate(U, start=t):
+        lo, hi = S[t]
+        x_new = _advance(x, lo, hi, p[t], direction[t], u)
+        operating += np.where(x_new == hi, F[t, 1], F[t, 0])
         d = x_new - x
         ups += np.maximum(d, 0)
         downs += np.maximum(-d, 0)
-        # Estimates marginal_upper: 0 on integral slots, where hi == lo.
-        upper[t] = float(np.mean(x_new > lo))
-        x = x_new
-        prev_xbar = float(arr[t])
-    downs += x  # closing power-down to the all-asleep end state
-    switching = switching_cost(instance.beta, instance.convention, ups, ups + downs)
-    return EnsembleResult(costs=operating + switching, upper_frequency=upper,
-                          seed=seed)
+        upper[t] = np.count_nonzero(x_new > lo)
+        x[:] = x_new

@@ -86,17 +86,16 @@ def test_criterion_3_polynomial_scaling():
     rng = np.random.default_rng(10_003)
     T = 10_000
 
-    def timed(m):
-        inst = random_affine_instance(rng, T, m, beta=1.5)
-        best = math.inf
-        for _ in range(3):
+    instances = [random_affine_instance(rng, T, m, beta=1.5) for m in (1 << 20, 1 << 10)]
+    # Best of 3 per size, the sizes alternating, so that a swing of the
+    # host's speed lands on both timings rather than on one of them.
+    best = [math.inf, math.inf]
+    for _ in range(3):
+        for i, inst in enumerate(instances):
             t0 = time.perf_counter()
             solve_poly(inst)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    big = timed(1 << 20)
-    small = timed(1 << 10)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    big, small = best
     assert big < 5.0
     assert big < 2.0 * small
     print(f"PASS criterion 3: T=1e4 solve at m=2^20 in {big * 1e3:.0f} ms, "

@@ -21,6 +21,7 @@ from rightsizing import (
     eval_cost,
     extend_continuous,
     fractional_grid_optimum,
+    kernels,
     pad_to_power_of_two,
     refine_candidates,
     restrict_phi,
@@ -28,7 +29,7 @@ from rightsizing import (
     scale_psi,
     solve_poly,
 )
-from rightsizing.offline import _compiled_kernel, _window_dp, _window_dp_numpy
+from rightsizing.offline import _window_dp, _window_dp_numpy
 
 REL = 1e-9
 
@@ -223,7 +224,7 @@ def test_window_kernel_matches_scalar_reference():
 
 
 def test_window_kernel_is_compiled_when_a_compiler_exists():
-    assert (_compiled_kernel() is not None) == (shutil.which("cc") is not None)
+    assert (kernels.load() is not None) == (shutil.which("cc") is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +497,7 @@ def test_window_and_grid_tie_breaks_agree_on_integer_data():
 
 
 def test_row_evaluators_match_per_slot_eval_grid():
-    from rightsizing import (AffineAbsCost, RestrictedLoadCost, ScaledCost,
-                             StretchedCopyCost)
+    from rightsizing import AffineAbsCost, RestrictedLoadCost, StretchedCopyCost
     from rightsizing.offline import PaddedCost, _row_evaluator, evaluate_rows
 
     rng = np.random.default_rng(23)
@@ -510,7 +510,7 @@ def test_row_evaluators_match_per_slot_eval_grid():
     mixed = [*tables, *affines,
              RestrictedLoadCost(3.0, eps=0.5, slope_k=2.0),
              RestrictedLoadCost(0.0, eps=0.25, slope_k=1.0),
-             *padded, ScaledCost(tables[1], 3.0), StretchedCopyCost(affines[1], 4)]
+             *padded, StretchedCopyCost(affines[1], 4)]
     # one kind per list, padding over two inner kinds, then mixed lists
     slot_lists = [tables, affines, restricted, padded, mixed]
     slot_lists += [[mixed[i] for i in rng.integers(0, len(mixed), size=15)]
