@@ -39,7 +39,6 @@ from .lcp import (
     LcpState,
     LcpTrace,
     backward_optimal,
-    lcp_breakpoints,
     lcp_init,
     lcp_run,
     lcp_step,

@@ -25,6 +25,7 @@ from .model import (
     ProblemInstance,
     RestrictedLoadCost,
     StretchedCopyCost,
+    cost_ratio,
     eval_cost,
     row_evaluator,
     slot_costs,
@@ -183,6 +184,8 @@ class AdversaryConfig:
             object.__setattr__(self, "T", int(math.ceil(inv * inv)))
         if self.T < 1:
             raise ConfigError("T must be positive")
+        if self.n_runs < 1:
+            raise ConfigError("n_runs must be positive")
 
 
 @dataclass
@@ -340,7 +343,7 @@ def _report(variant: str, policy: str, config: AdversaryConfig, play: _Play, *,
     return DuelReport(
         variant=variant, policy=policy, eps=config.eps, beta=DUEL_BETA,
         T=len(play.labels), policy_cost=policy_cost, opt_cost=opt_cost,
-        ratio=policy_cost / opt_cost, opt_bound=opt_bound, label_digest=digest,
+        ratio=cost_ratio(policy_cost, opt_cost), opt_bound=opt_bound, label_digest=digest,
         label_counts=counts, seed=config.seed, termination=play.termination, **fields)
 
 

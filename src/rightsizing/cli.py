@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -22,7 +21,7 @@ import time
 import numpy as np
 
 from .adversary import AdversaryConfig, run_duel
-from .lcp import backward_optimal, lcp_breakpoints, lcp_init, lcp_step
+from .lcp import backward_optimal, lcp_init, lcp_step
 from .model import (
     AffineAbsCost,
     AlignmentError,
@@ -33,6 +32,7 @@ from .model import (
     ProblemInstance,
     SchemaError,
     ShapeError,
+    cost_ratio,
     eval_cost,
     instance_to_json,
     load_instance,
@@ -107,10 +107,8 @@ def _simulate_rows(instance: ProblemInstance, policy: str, seed: int):
     optimum = None
     bands = [("", "")] * instance.T
     if policy == "lcp":
-        decisions = lcp_breakpoints(instance)
-        if decisions is None:
-            state = lcp_init(instance.m, instance.beta)
-            decisions = [lcp_step(state, f) for f in instance.functions]
+        state = lcp_init(instance.m, instance.beta)
+        decisions = [lcp_step(state, f) for f in instance.functions]
         schedule = [d.chosen for d in decisions]
         bands = [(d.lower, d.upper) for d in decisions]
         optimum = backward_optimal(decisions)
@@ -145,7 +143,7 @@ def cmd_simulate(args) -> int:
         opt = dp_optimal(instance).cost
     else:
         opt = eval_cost(instance, optimum).total
-    ratio = total / opt if opt > 0 else (1.0 if total == 0 else math.inf)
+    ratio = cost_ratio(total, opt)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "x_L", "x_U", "x_policy", "f_t_cost", "cum_cost"])
@@ -222,7 +220,7 @@ def _bench_lcp(writer) -> None:
         trace = lcp_run(inst)
         ms = (time.perf_counter() - t0) * 1000.0
         opt = dp_optimal(inst).cost
-        writer.writerow([T, m, f"{ms:.3f}", _fmt(trace.cost.total / opt)])
+        writer.writerow([T, m, f"{ms:.3f}", _fmt(cost_ratio(trace.cost.total, opt))])
 
 
 def _bench_random(writer) -> None:

@@ -8,11 +8,11 @@ edge is the smallest minimizer of that cost; the upper edge is the largest
 minimizer after crediting the pending power-up cost ``beta * x``
 (equivalently, the bound obtained by charging power-downs instead).
 
-Two paths compute it.  The streaming step ``lcp_step`` keeps the reach
-costs as a dense array, O(m) per slot for any cost kind.  When every slot
-has a slope form (``CostFunction.slope_breakpoints``; ``affine_abs`` for
-now), ``lcp_breakpoints`` keeps only the slopes of the reach costs as
-weighted breakpoints, O(log T) per slot with no fleet cap.
+``lcp_step`` keeps only the slopes of the reach costs, O(log T) per slot
+with no fleet cap, while every slot has a slope form
+(``CostFunction.slope_breakpoints``; ``affine_abs`` for now).  The first
+slot without one turns them into a dense array for good: O(m) per slot.
+Costs within ``TIE_TOL * beta`` tie, so no band depends on the cost scale.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .offline import _climb_min
 #: Dense cost arrays make each step O(m); refuse silently huge fleets.
 DEFAULT_STATE_LIMIT = 1 << 20
 
-#: Cost values this close are treated as ties before applying the
-#: smallest/largest tie-breaks (two-level adversaries create exact ties).
+#: Costs closer than this times ``beta`` are treated as ties before applying
+#: the smallest/largest tie-breaks (two-level adversaries create exact ties).
 TIE_TOL = 1e-12
 
 
@@ -50,56 +50,74 @@ class LcpDecision:
 
 @dataclass
 class LcpState:
+    """The reach costs ``V`` as slopes ``d(x) = V(x+1) - V(x)``: ``d(0)`` is
+    ``base``, ``d(m - 1)`` is ``total``, and ``d`` steps up by the weight of
+    each live breakpoint in (0, m), kept in a min-heap and a max-heap with
+    lazy deletion; or, once set, as the dense ``reach_costs``."""
+
     m: int
     beta: float
-    tau: int = 0
+    tol: float
     x_lcp: int = 0
-    reach_costs: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     history: list[LcpDecision] = field(default_factory=list)
+    base: float = 0.0
+    total: float = 0.0
+    left: list[tuple[int, int]] = field(default_factory=list, repr=False)   # (x, id)
+    right: list[tuple[int, int]] = field(default_factory=list, repr=False)  # (-x, id)
+    weight: dict[int, float] = field(default_factory=dict, repr=False)      # live ids
+    ids: itertools.count = field(default_factory=itertools.count, repr=False)
+    reach_costs: np.ndarray | None = field(default=None, repr=False)
     # beta * x, and the same read from x = m down and negated
-    ramp: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    mirrored_ramp: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    ramp: np.ndarray | None = field(default=None, repr=False)
+    mirrored_ramp: np.ndarray | None = field(default=None, repr=False)
 
 
 def lcp_init(m: int, beta: float) -> LcpState:
     """Fresh state: all servers asleep, reach costs seeded with the
-    power-up ramp ``beta * x`` so the first step already charges
-    switching from the all-asleep start."""
+    power-up ramp ``beta * x`` (every slope ``beta``) so the first step
+    already charges switching from the all-asleep start."""
     if m < 1:
         raise ConfigError("m must be a positive integer")
     if not (beta > 0):
         raise ConfigError("beta must be positive")
-    if m > DEFAULT_STATE_LIMIT:
-        raise ConfigError(f"m = {m} exceeds the dense-state limit {DEFAULT_STATE_LIMIT}")
-    ramp = beta * np.arange(m + 1, dtype=np.float64)
-    return LcpState(m=m, beta=beta, reach_costs=ramp, ramp=ramp, mirrored_ramp=-ramp[::-1])
-
-
-def _first_within(values: np.ndarray) -> int:
-    return int(np.argmax(values <= values.min() + TIE_TOL))
-
-
-def _last_within(values: np.ndarray) -> int:
-    mask = values <= values.min() + TIE_TOL
-    return int(len(values) - 1 - np.argmax(mask[::-1]))
+    return LcpState(m=m, beta=beta, tol=TIE_TOL * beta, base=beta, total=beta)
 
 
 def lcp_step(state: LcpState, f: CostFunction) -> LcpDecision:
     """Consume the next cost function and move lazily into the new band."""
-    # NaN counts as +inf, as in the offline solvers.
-    fvals = np.fmin(f.eval_grid(np.arange(state.m + 1, dtype=np.int64)), np.inf)
-    # min over x' of prev(x') + beta * (x - x')^+ is the offline climb step
-    # on the mirrored grid, where powering up runs downhill.
-    reach = _climb_min(state.reach_costs[::-1], state.mirrored_ramp)[::-1] + fvals
-    lower = _first_within(reach)
-    upper = _last_within(reach - state.ramp)
-    chosen = min(max(state.x_lcp, lower), upper)
-    state.reach_costs = reach
-    state.x_lcp = chosen
-    state.tau += 1
+    form = f.slope_breakpoints() if state.reach_costs is None else None
+    lower, upper = _dense_band(state, f) if form is None else _slope_band(state, *form)
+    state.x_lcp = chosen = min(max(state.x_lcp, lower), upper)
     decision = LcpDecision(lower=lower, upper=upper, chosen=chosen)
     state.history.append(decision)
     return decision
+
+
+def _dense_band(state: LcpState, f: CostFunction) -> tuple[int, int]:
+    m = state.m
+    if state.reach_costs is None:
+        # V(0) = 0 and the cumulative sum of the slopes: exact, because the
+        # slopes lie in [0, beta], a fixed point of the climb step below.
+        if m > DEFAULT_STATE_LIMIT:
+            raise ConfigError(f"m = {m} exceeds the dense-state limit {DEFAULT_STATE_LIMIT}")
+        jumps = np.zeros(m, dtype=np.float64)
+        jumps[0] = state.base
+        for x, i in state.left:
+            jumps[x] += state.weight.get(i, 0.0)
+        state.reach_costs = np.concatenate(([0.0], np.cumsum(np.cumsum(jumps))))
+        state.ramp = state.beta * np.arange(m + 1, dtype=np.float64)
+        state.mirrored_ramp = -state.ramp[::-1]
+    # NaN counts as +inf, as in the offline solvers.
+    fvals = np.fmin(f.eval_grid(np.arange(m + 1, dtype=np.int64)), np.inf)
+    # min over x' of prev(x') + beta * (x - x')^+ is the offline climb step
+    # on the mirrored grid, where powering up runs downhill.
+    reach = _climb_min(state.reach_costs[::-1], state.mirrored_ramp)[::-1] + fvals
+    state.reach_costs = reach
+    # the smallest minimizer, and the largest one after crediting beta * x
+    credited = reach - state.ramp
+    lower = np.argmax(reach <= reach.min() + state.tol)
+    upper = m - np.argmax((credited <= credited.min() + state.tol)[::-1])
+    return int(lower), int(upper)
 
 
 def _pop_group(heap: list, weight: dict) -> tuple[int, float]:
@@ -113,86 +131,63 @@ def _pop_group(heap: list, weight: dict) -> tuple[int, float]:
     return key, w
 
 
-def lcp_breakpoints(instance: ProblemInstance) -> list[LcpDecision] | None:
-    """The policy's decisions on a whole instance from the slopes
-    ``d(x) = V(x+1) - V(x)`` of its reach costs, or None when some slot has
-    no slope form.  On dyadic data the decisions equal those of
-    ``lcp_step``; elsewhere an edge whose slope lies within rounding of a
-    tie threshold may resolve differently.
+def _push(state: LcpState, x: int, w: float) -> None:
+    i = next(state.ids)
+    state.weight[i] = w
+    heapq.heappush(state.left, (x, i))
+    heapq.heappush(state.right, (-x, i))
 
-    ``d`` is its slope at 0 plus the weights of breakpoints in (0, m), kept
-    in a min-heap and a max-heap with lazy deletion, so a slot costs
-    O(log T) and the heaps hold O(T) entries.  Per slot the cost's
-    breakpoints are added, a walk from the left finds the lower edge (the
-    first ``x`` with ``d(x) >= -TIE_TOL``) and lifts negative slopes to 0,
-    and a walk from the right finds the upper edge (the first ``x`` with
-    ``d(x) > beta + TIE_TOL``) and caps slopes at ``beta``: the clipped
-    slopes are those of the next slot's climb step.
-    """
-    forms = [f.slope_breakpoints() for f in instance.functions]
-    if any(form is None for form in forms):
-        return None
-    m, beta = instance.m, instance.beta
-    left: list[tuple[int, int]] = []       # (x, id)
-    right: list[tuple[int, int]] = []      # (-x, id)
-    weight: dict[int, float] = {}          # live breakpoints
-    ids = itertools.count()
-    base = total = beta                    # d(0) and d(m - 1); the ramp
-    x_lcp = 0
-    decisions = []
 
-    def push(x: int, w: float) -> None:
-        i = next(ids)
-        weight[i] = w
-        heapq.heappush(left, (x, i))
-        heapq.heappush(right, (-x, i))
-
-    for s0, points in forms:
-        base += s0
-        total += s0
-        for x, w in points:
-            if x >= m or w == 0.0:
-                continue
-            total += w
-            if x <= 0:
-                base += w
-            else:
-                push(x, w)
-        lower = 0 if base >= -TIE_TOL else m
-        if base < 0.0:
-            s = base
-            while s < 0.0 and weight:
-                x, w = _pop_group(left, weight)
-                s = s + w if weight else total
-                if lower == m and s >= -TIE_TOL:
-                    lower = x
-            base = 0.0
-            if s < 0.0:
-                total = 0.0
-            elif s > 0.0:
-                push(x, s)
-        upper = m
-        if total > beta:
-            s = total
-            while s > beta:
-                if not weight:
-                    if s > beta + TIE_TOL:
-                        upper = 0
-                    base = beta
-                    break
-                key, w = _pop_group(right, weight)
-                before = s - w if weight else base
-                if s > beta + TIE_TOL:
-                    upper = -key
-                if before <= beta:
-                    if before < beta:
-                        push(-key, beta - before)
-                    break
-                s = before
-            total = beta
-        x_lcp = min(max(x_lcp, lower), upper)
-        decisions.append(LcpDecision(lower=lower, upper=upper, chosen=x_lcp))
-    return decisions
+def _slope_band(state: LcpState, s0: float, points) -> tuple[int, int]:
+    """Add the cost's slopes; walk from the left to the lower edge (the first
+    ``x`` with ``d(x) >= -tol``), lifting negative slopes to 0, and from the
+    right to the upper edge (the first ``x`` with ``d(x) > beta + tol``),
+    capping slopes at ``beta``, as the next slot's climb step would."""
+    m, beta, tol, weight = state.m, state.beta, state.tol, state.weight
+    base = state.base + s0
+    total = state.total + s0
+    for x, w in points:
+        if x >= m or w == 0.0:
+            continue
+        total += w
+        if x <= 0:
+            base += w
+        else:
+            _push(state, x, w)
+    lower = 0 if base >= -tol else m
+    if base < 0.0:
+        s = base
+        while s < 0.0 and weight:
+            x, w = _pop_group(state.left, weight)
+            s = s + w if weight else total
+            if lower == m and s >= -tol:
+                lower = x
+        base = 0.0
+        if s < 0.0:
+            total = 0.0
+        elif s > 0.0:
+            _push(state, x, s)
+    upper = m
+    if total > beta:
+        s = total
+        while s > beta:
+            if not weight:
+                if s > beta + tol:
+                    upper = 0
+                base = beta
+                break
+            key, w = _pop_group(state.right, weight)
+            before = s - w if weight else base
+            if s > beta + tol:
+                upper = -key
+            if before <= beta:
+                if before < beta:
+                    _push(state, -key, beta - before)
+                break
+            s = before
+        total = beta
+    state.base, state.total = base, total
+    return lower, upper
 
 
 def backward_optimal(bounds, T: int | None = None) -> np.ndarray:
@@ -222,14 +217,11 @@ class LcpTrace:
 
 
 def lcp_run(instance: ProblemInstance) -> LcpTrace:
-    """Run the policy over the whole instance (power-up charging): on the
-    breakpoint path when every slot has a slope form, else step by step."""
+    """Run the policy over the whole instance (power-up charging)."""
     if instance.convention != "up_only":
         raise ConfigError("the lazy policy is defined for the up_only convention")
-    decisions = lcp_breakpoints(instance)
-    if decisions is None:
-        state = lcp_init(instance.m, instance.beta)
-        decisions = [lcp_step(state, f) for f in instance.functions]
+    state = lcp_init(instance.m, instance.beta)
+    decisions = [lcp_step(state, f) for f in instance.functions]
     schedule = np.array([d.chosen for d in decisions], dtype=np.int64)
     return LcpTrace(decisions=decisions, schedule=schedule,
                     cost=eval_cost(instance, schedule))

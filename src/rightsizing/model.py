@@ -344,6 +344,11 @@ def eval_cost(instance: ProblemInstance, schedule: Iterable[int]) -> CostBreakdo
     return CostBreakdown.of(operating, switching)
 
 
+def cost_ratio(cost: float, opt: float) -> float:
+    """``cost / opt``; a zero optimum gives 1 for a zero cost, else inf."""
+    return cost / opt if opt > 0 else (1.0 if cost == 0 else math.inf)
+
+
 class ContinuousEvaluator:
     """Fractional relaxation of an instance.
 

@@ -253,6 +253,8 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     ensemble advances a block of slots per kernel call, on one uniform draw
     per run and slot; used for marginal and expected-cost estimates.
     """
+    if n_runs < 1:
+        raise ConfigError("n_runs must be positive")
     arr = np.asarray(xbar, dtype=np.float64)
     if arr.size != instance.T:
         raise ConfigError(f"fractional schedule length {arr.size} != T = {instance.T}")

@@ -281,3 +281,15 @@ def test_restricted_continuous_duel_opt_matches_dense_grid():
                       if s >= f.load])
     dense = _open_grid_opt(slots, rep.beta)
     assert abs(dense - rep.opt_cost) <= 1e-12
+
+
+@pytest.mark.parametrize("n_runs", [0, -3])
+def test_config_needs_a_run(n_runs):
+    with pytest.raises(ConfigError):
+        AdversaryConfig(eps=0.1, variant="randomized", n_runs=n_runs)
+
+
+def test_zero_optimum_gives_ratio_one():
+    # Pulled toward 0 from the start, the policy never moves: both costs are 0.
+    rep = run_scripted_workload(AlgorithmB(0.25), [TOWARD_ZERO] * 4, 0.25)
+    assert (rep.policy_cost, rep.opt_cost, rep.ratio) == (0.0, 0.0, 1.0)

@@ -187,11 +187,11 @@ def test_simulate_lcp_beyond_dense_state_limit(tmp_path, m):
 
 @pytest.mark.parametrize("doc,steps", [
     (e1_doc(), 3),
-    (instance_to_json(random_affine_instance(np.random.default_rng(3), 30, 40)), 0),
+    (instance_to_json(random_affine_instance(np.random.default_rng(3), 30, 40)), 30),
 ])
 def test_simulate_lcp_takes_optimum_from_bands(tmp_path, monkeypatch, doc, steps):
-    # Affine-only instances take the breakpoint path; others stream lcp_step.
-    # Neither runs the full-grid oracle for the summary.
+    # Every slot is one lcp_step, whatever form the state keeps; no instance
+    # runs the full-grid oracle for the summary.
     import rightsizing.cli as cli
 
     calls = []
@@ -266,6 +266,13 @@ def test_adversary_invalid_combination_exit_4(capsys):
     for policy in ("lcp", "bogus"):
         assert main(["adversary", "--variant", "randomized", "--policy", policy,
                      "--eps", "0.1", "--runs", "10"]) == 4
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_adversary_rejects_fewer_than_one_run(capsys, runs):
+    assert main(["adversary", "--variant", "randomized", "--policy", "random-round",
+                 "--eps", "0.1", "--runs", runs]) == 4
     assert capsys.readouterr().out == ""
 
 

@@ -3,8 +3,11 @@ import pytest
 
 from conftest import random_affine_instance, random_table_instance
 from rightsizing import (
+    TOWARD_ONE,
+    TOWARD_ZERO,
     AffineAbsCost,
     ConfigError,
+    LcpPolicy,
     ProblemInstance,
     RestrictedLoadCost,
     ShapeError,
@@ -12,18 +15,33 @@ from rightsizing import (
     backward_optimal,
     dp_optimal,
     eval_cost,
-    lcp_breakpoints,
     lcp_init,
     lcp_run,
     lcp_step,
+    pull_cost,
 )
 
 REL = 1e-9
 
 
+def _table_twin(f, m):
+    return TableCost(f.eval_grid(np.arange(m + 1)))
+
+
+def _twin_decisions(inst):
+    """The decisions on the slots' table twins, which keep dense reach costs."""
+    state = lcp_init(inst.m, inst.beta)
+    return [lcp_step(state, _table_twin(f, inst.m)) for f in inst.functions]
+
+
 def test_init_ramp():
-    assert list(lcp_init(1, 1.0).reach_costs) == [0.0, 1.0]
-    assert list(lcp_init(3, 2.0).reach_costs) == [0.0, 2.0, 4.0, 6.0]
+    # A fresh state holds the ramp beta * x as slopes alone; a zero-cost
+    # table turns them into the dense ramp, which the climb step keeps.
+    for m, beta, ramp in ((1, 1.0, [0.0, 1.0]), (3, 2.0, [0.0, 2.0, 4.0, 6.0])):
+        state = lcp_init(m, beta)
+        assert (state.base, state.total, state.reach_costs) == (beta, beta, None)
+        lcp_step(state, TableCost([0.0] * (m + 1)))
+        assert list(state.reach_costs) == ramp
     assert lcp_init(4, 1.0).x_lcp == 0
 
 
@@ -32,18 +50,28 @@ def test_init_rejects_bad_params():
         lcp_init(0, 1.0)
     with pytest.raises(ConfigError):
         lcp_init(2, 0.0)
+    # The fleet limit guards the dense array, so it applies at its first
+    # step, not to slope-form steps.
+    m = 1 << 21
+    state = lcp_init(m, 1.0)
+    d = lcp_step(state, AffineAbsCost(1.0, m - 0.5))
+    assert (d.lower, d.upper, d.chosen) == (0, m, 0)
     with pytest.raises(ConfigError):
-        lcp_init(1 << 21, 1.0)
+        lcp_step(state, RestrictedLoadCost(1.0, eps=1.0, slope_k=2.0))
 
 
 def test_two_step_hand_trace():
-    state = lcp_init(1, 1.0)
-    d1 = lcp_step(state, AffineAbsCost(1.0, 1.0))
-    assert list(state.reach_costs) == [1.0, 1.0]
-    assert (d1.lower, d1.upper, d1.chosen) == (0, 1, 0)
-    d2 = lcp_step(state, AffineAbsCost(1.0, 1.0))
-    assert list(state.reach_costs) == [2.0, 1.0]
-    assert (d2.lower, d2.upper, d2.chosen) == (1, 1, 1)
+    affine = lcp_init(1, 1.0)
+    table = lcp_init(1, 1.0)
+    f = AffineAbsCost(1.0, 1.0)
+    expected = [([1.0, 1.0], (0, 1, 0)), ([2.0, 1.0], (1, 1, 1))]
+    for reach, band in expected:
+        d = lcp_step(affine, f)
+        assert (d.lower, d.upper, d.chosen) == band
+        d = lcp_step(table, _table_twin(f, 1))
+        assert list(table.reach_costs) == reach
+        assert (d.lower, d.upper, d.chosen) == band
+    assert affine.reach_costs is None
 
 
 def test_idle_workload_stays_down():
@@ -204,16 +232,29 @@ def test_nan_cost_counts_as_infinite():
     assert list(dp_optimal(inst).schedule) == [0, 1, 1]
 
 
-def _dense_decisions(inst):
-    state = lcp_init(inst.m, inst.beta)
-    return [lcp_step(state, f) for f in inst.functions]
-
-
 def test_breakpoint_path_only_for_slope_forms():
-    affine = (AffineAbsCost(1.0, 1.5),) * 2
-    assert lcp_breakpoints(ProblemInstance(2, 3, 1.0, affine)) is not None
+    # The state keeps slopes while every slot has a slope form, and turns
+    # dense for good at the first slot without one.
+    affine = AffineAbsCost(1.0, 1.5)
+    state = lcp_init(3, 1.0)
+    lcp_step(state, affine)
+    lcp_step(state, affine)
+    assert state.reach_costs is None
     for other in (TableCost([1, 0, 0, 1]), RestrictedLoadCost(1.0, eps=1.0, slope_k=2.0)):
-        assert lcp_breakpoints(ProblemInstance(2, 3, 1.0, (affine[0], other))) is None
+        state = lcp_init(3, 1.0)
+        lcp_step(state, affine)
+        lcp_step(state, other)
+        assert state.reach_costs is not None
+        lcp_step(state, affine)
+        assert state.reach_costs is not None
+
+
+def test_lcp_policy_never_builds_the_dense_array():
+    policy = LcpPolicy(1, 2.0)
+    for t in range(200):
+        policy.step(pull_cost(TOWARD_ONE if t % 3 else TOWARD_ZERO, 0.25))
+    assert policy._state.reach_costs is None
+    assert len(policy._state.history) == 200
 
 
 def test_breakpoint_bands_match_dense_on_real_valued_instances():
@@ -225,8 +266,8 @@ def test_breakpoint_bands_match_dense_on_real_valued_instances():
             # centres beyond [0, m] fold into the slope at 0 or drop out
             fns = tuple(AffineAbsCost(f.eps, f.center * 1.4 - 0.2 * m) for f in inst.functions)
             inst = inst.replace(functions=fns)
-            fast = lcp_breakpoints(inst)
-            assert fast == _dense_decisions(inst)
+            fast = lcp_run(inst).decisions
+            assert fast == _twin_decisions(inst)
             opt = dp_optimal(inst).cost
             rebuilt = eval_cost(inst, backward_optimal(fast)).total
             assert abs(rebuilt - opt) <= REL * max(1.0, opt)
@@ -238,3 +279,24 @@ def test_breakpoint_path_has_no_fleet_cap():
     trace = lcp_run(inst)
     assert [(d.lower, d.upper) for d in trace.decisions] == [(0, m), (m - 1, m), (m - 1, m)]
     assert list(trace.schedule) == [0, m - 1, m - 1]
+
+
+def _bands(decisions):
+    return [(d.lower, d.upper) for d in decisions]
+
+
+def test_bands_do_not_depend_on_the_cost_scale():
+    # Integer data ties exactly; scaled by 1e9/3 those ties are off by
+    # rounding, far below the tolerance relative to beta.
+    rng = np.random.default_rng(27)
+    scale = 1e9 / 3
+    for _ in range(200):
+        T, m = int(rng.integers(5, 41)), int(rng.integers(2, 21))
+        fns = tuple(AffineAbsCost(float(rng.integers(1, 6)), float(rng.integers(0, m + 1)))
+                    for _ in range(T))
+        inst = ProblemInstance(T, m, float(rng.integers(1, 11)), fns)
+        big = inst.replace(beta=inst.beta * scale, functions=tuple(
+            AffineAbsCost(f.eps * scale, f.center) for f in fns))
+        bands = _bands(lcp_run(inst).decisions)
+        assert _bands(lcp_run(big).decisions) == bands
+        assert _bands(_twin_decisions(big)) == bands

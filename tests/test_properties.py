@@ -21,7 +21,6 @@ from rightsizing import (
     backward_optimal,
     dp_optimal,
     eval_cost,
-    lcp_breakpoints,
     lcp_init,
     lcp_run,
     lcp_step,
@@ -94,14 +93,56 @@ def affine_instances(draw):
     return ProblemInstance(T, m, beta, tuple(draw(dyadic_affine(m)) for _ in range(T)))
 
 
+def twin_decisions(inst):
+    """Decisions on the slots' table twins, whose reach costs stay dense."""
+    state = lcp_init(inst.m, inst.beta)
+    xs = np.arange(inst.m + 1)
+    return [lcp_step(state, TableCost(f.eval_grid(xs))) for f in inst.functions]
+
+
 @PROPERTY
 @given(affine_instances())
 def test_breakpoint_and_dense_lcp_agree_exactly_on_dyadic_data(inst):
-    state = lcp_init(inst.m, inst.beta)
-    dense = [lcp_step(state, f) for f in inst.functions]
-    fast = lcp_breakpoints(inst)
-    assert fast == dense
+    fast = lcp_run(inst).decisions
+    assert fast == twin_decisions(inst)
     assert eval_cost(inst, backward_optimal(fast)).total == dp_optimal(inst).cost
+
+
+@st.composite
+def mixed_instances(draw):
+    """Dyadic ``affine_abs``, ``table`` and ``restricted`` slots in any order."""
+    T = draw(st.integers(1, 16))
+    m = draw(st.integers(1, 12))
+    beta = draw(st.integers(1, 32)) / 8.0
+    restricted = st.builds(lambda load, e, k: RestrictedLoadCost(load / 4.0, eps=e / 8.0,
+                                                                 slope_k=k / 4.0),
+                           st.integers(0, 4 * m), st.integers(1, 16), st.integers(2, 12))
+    fns = draw(st.lists(st.one_of(dyadic_affine(m), dyadic_slot(m), restricted),
+                        min_size=T, max_size=T))
+    return ProblemInstance(T, m, beta, tuple(fns))
+
+
+@PROPERTY
+@given(mixed_instances())
+def test_one_step_switches_to_dense_without_changing_a_decision(inst):
+    state = lcp_init(inst.m, inst.beta)
+    decisions, slopes_so_far = [], True
+    for f in inst.functions:
+        decisions.append(lcp_step(state, f))
+        slopes_so_far = slopes_so_far and f.slope_breakpoints() is not None
+        assert (state.reach_costs is None) == slopes_so_far
+    assert decisions == twin_decisions(inst)
+
+
+@PROPERTY
+@given(affine_instances(), st.integers(-30, 30))
+def test_bands_unchanged_under_a_power_of_two_scaling(inst, k):
+    scale = 2.0 ** k
+    big = inst.replace(beta=inst.beta * scale, functions=tuple(
+        AffineAbsCost(f.eps * scale, f.center) for f in inst.functions))
+    for decide in (lambda i: lcp_run(i).decisions, twin_decisions):
+        assert [(d.lower, d.upper) for d in decide(big)] == \
+            [(d.lower, d.upper) for d in decide(inst)]
 
 
 @PROPERTY

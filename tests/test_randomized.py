@@ -240,3 +240,10 @@ def test_ensemble_rejects_states_outside_the_fleet(kind, xbar):
     inst = ProblemInstance(2, 4, 1.0, fns)
     with pytest.raises(DomainError):
         rounding_ensemble(xbar, inst, 4, seed=0)
+
+
+@pytest.mark.parametrize("n_runs", [0, -3])
+def test_ensemble_needs_a_run(n_runs):
+    inst = ProblemInstance(2, 1, 1.0, (AffineAbsCost(1.0, 0.0),) * 2)
+    with pytest.raises(ConfigError):
+        rounding_ensemble([0.5, 0.5], inst, n_runs, seed=0)
