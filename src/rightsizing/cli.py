@@ -40,7 +40,7 @@ from .model import (
     switching_cost,
 )
 from .offline import dp_optimal, fractional_grid_optimum, solve_poly
-from .randomized import round_step
+from .randomized import rounding_run
 
 ORACLE_STATE_CAP = 1 << 12  # benches skip the full DP above this fleet size
 
@@ -113,13 +113,7 @@ def _simulate_rows(instance: ProblemInstance, policy: str, seed: int):
         bands = [(d.lower, d.upper) for d in decisions]
         optimum = backward_optimal(decisions)
     elif policy == "random-round":
-        xbar = fractional_grid_optimum(instance, 2)
-        rng = np.random.default_rng(seed)
-        schedule, x, prev_xbar = [], 0, 0.0
-        for xbar_t in xbar.tolist():
-            x = round_step(x, prev_xbar, xbar_t, rng)
-            schedule.append(x)
-            prev_xbar = xbar_t
+        schedule = rounding_run(fractional_grid_optimum(instance, 2), instance, seed).schedule
     elif policy == "offline":
         optimum = dp_optimal(instance).schedule
         schedule = [int(v) for v in optimum]

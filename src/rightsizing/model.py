@@ -262,8 +262,8 @@ class ProblemInstance:
             raise ConfigError("T must be a positive integer")
         if self.m < 1:
             raise ConfigError("m must be a positive integer")
-        if not (self.beta > 0):
-            raise ConfigError("beta must be positive")
+        if not (0 < self.beta < math.inf):
+            raise ConfigError("beta must be finite and positive")
         if len(self.functions) != self.T:
             raise ShapeError(f"expected {self.T} cost functions, got {len(self.functions)}")
         if self.allowed_step < 1 or self.allowed_step > self.m:
@@ -272,8 +272,9 @@ class ProblemInstance:
             raise ConfigError(f"convention must be one of {CONVENTIONS}")
         object.__setattr__(self, "functions", tuple(self.functions))
 
-    def is_allowed(self, x: int) -> bool:
-        return 0 <= x <= self.m and x % self.allowed_step == 0
+    def is_allowed(self, x):
+        """Whether the state, or each state of an integer array, is allowed."""
+        return (0 <= x) & (x <= self.m) & (x % self.allowed_step == 0)
 
     def allowed_states(self) -> np.ndarray:
         return np.arange(0, self.m + 1, self.allowed_step, dtype=np.int64)
@@ -300,8 +301,10 @@ def as_schedule(x: Iterable[int]) -> np.ndarray:
     arr = np.asarray(list(x) if not isinstance(x, (np.ndarray, list, tuple)) else x)
     if arr.ndim != 1:
         raise ShapeError("schedule must be one-dimensional")
-    if arr.size and not np.all(arr == np.floor(arr)):
-        raise DomainError("schedule states must be integers")
+    # Integer arrays need no check; a non-finite float is rejected before
+    # the cast to int64 would mangle it.
+    if arr.dtype.kind not in "iub" and not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+        raise DomainError("schedule states must be finite integers")
     return arr.astype(np.int64)
 
 
@@ -436,8 +439,8 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
     cost functions, and each slot's ``violations(m)``; empty if well formed.
     """
     violations: list[str] = []
-    if not (instance.beta > 0):
-        violations.append("beta must be positive")
+    if not (0 < instance.beta < math.inf):
+        violations.append("beta must be finite and positive")
     if len(instance.functions) != instance.T:
         violations.append(f"expected {instance.T} cost functions, got {len(instance.functions)}")
     for t, f in enumerate(instance.functions, start=1):
@@ -502,12 +505,16 @@ def instance_from_json(doc: dict) -> ProblemInstance:
                           f"got {conv!r}")
     if not isinstance(doc["functions"], list):
         raise SchemaError("'functions' must be an array")
+    for field in ("T", "m"):
+        v = doc[field]
+        # type() rather than isinstance: true and false are not counts.
+        if not (type(v) is int or type(v) is float and v.is_integer()):
+            raise SchemaError(f"{field!r} must be an integer, got {v!r}")
     try:
-        T = int(doc["T"])
-        m = int(doc["m"])
         beta = float(doc["beta"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
+    T, m = int(doc["T"]), int(doc["m"])
     fns = tuple(function_from_json(d) for d in doc["functions"])
     try:
         instance = ProblemInstance(T, m, beta, fns, convention=conv)
@@ -520,9 +527,11 @@ def instance_from_json(doc: dict) -> ProblemInstance:
 
 
 def load_instance(path: str) -> ProblemInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read instance file: {exc}") from exc
     return instance_from_json(doc)

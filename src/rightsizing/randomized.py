@@ -28,6 +28,7 @@ from .model import (
     CostFunction,
     DomainError,
     ProblemInstance,
+    ShapeError,
     eval_cost,
     extend_continuous,
     row_evaluator,
@@ -216,15 +217,16 @@ def rounding_run(source, instance: ProblemInstance, seed: int) -> RoundingResult
     fractional schedule's cost under the continuous relaxation so callers
     can report ratios.
     """
-    if instance.convention != "up_only":
-        raise ConfigError("rounding runs are defined for the up_only convention")
+    if not hasattr(source, "step"):
+        if len(source) != instance.T:
+            raise ShapeError(f"fractional schedule length {len(source)} != T = {instance.T}")
+        source = ReplayPolicy(source)
     rng = np.random.default_rng(seed)
-    policy = ReplayPolicy(source) if not hasattr(source, "step") else source
     xbar = np.empty(instance.T, dtype=np.float64)
     x = np.empty(instance.T, dtype=np.int64)
     prev_x, prev_xbar = 0, 0.0
     for t, f in enumerate(instance.functions):
-        xbar[t] = policy.step(f)
+        xbar[t] = source.step(f)
         if not (0.0 <= xbar[t] <= instance.m):
             raise ContractError(f"policy emitted state {xbar[t]} outside [0, m]")
         x[t] = round_step(prev_x, prev_xbar, float(xbar[t]), rng)

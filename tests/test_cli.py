@@ -112,10 +112,12 @@ def _table(*values):
 
 
 INF, NAN = float("inf"), float("nan")
+AFFINE = {"kind": "affine_abs", "eps": 1.0, "center": 1.0}
 
 # Documents that break the model's assumptions (json writes NaN and Infinity
 # literals, which the loader accepts), a command that used to run on them
-# and exit 0 or 3, and the message the load-time check must print.
+# and exit 0 or 3 or end in a traceback, the message the load-time check
+# must print, and optionally header fields that replace the defaults.
 BAD_DOCS = {
     "non-convex-table": ([_table(0, 1, 2), _table(0, 2, 1)],
                          ["solve", "--algorithm", "poly"], "f_2: not convex at x=1"),
@@ -134,16 +136,40 @@ BAD_DOCS = {
     "affine-nan-center": ([{"kind": "affine_abs", "eps": 1.0, "center": NAN},
                            _table(0, 1, 2)],
                           ["solve", "--algorithm", "poly"], "f_1: center = nan"),
+    "infinite-beta": ([AFFINE] * 2, ["solve", "--algorithm", "poly"],
+                      "beta must be finite and positive", {"beta": INF}),
+    "infinite-beta-lcp": ([AFFINE] * 2, ["simulate", "--policy", "lcp"],
+                          "beta must be finite and positive", {"beta": INF}),
+    "fractional-T": ([AFFINE] * 2, ["solve", "--algorithm", "poly"],
+                     "'T' must be an integer, got 2.5", {"T": 2.5}),
+    "fractional-m": ([AFFINE] * 2, ["solve", "--algorithm", "poly"],
+                     "'m' must be an integer, got 4.9", {"m": 4.9}),
+    "boolean-m": ([AFFINE] * 2, ["solve", "--algorithm", "poly"],
+                  "'m' must be an integer, got True", {"m": True}),
+    "infinite-m": ([AFFINE] * 2, ["solve", "--algorithm", "poly"],
+                   "'m' must be an integer, got inf", {"m": INF}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_DOCS))
 def test_invalid_costs_rejected_at_load_exit_2(tmp_path, capsys, name):
-    functions, argv, message = BAD_DOCS[name]
+    functions, argv, message, *header = BAD_DOCS[name]
     doc = {"T": 2, "m": 2, "beta": 1.0, "convention": "up_only", "functions": functions}
+    doc.update(*header)
     path = write_instance(tmp_path, doc)
     assert main(argv[:1] + [path] + argv[1:]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_unreadable_instance_file_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "instance.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b'{"T": 1, "m": 1, "beta": "\xff"}')
+    assert main(["solve", str(path)]) == 2
+    assert "cannot read instance file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_grid_dp_matches_window_kernel_across_uneven_blocks(paths):
     for make in (random_affine_instance, random_table_instance):
         inst = make(rng, 150, n_states - 1)
         a, b = paths(dp_optimal, inst)
-        ref = dp_optimal(inst, columns=[tuple(range(n_states))] * inst.T)
+        ref = dp_optimal(inst, columns=np.tile(np.arange(n_states), (inst.T, 1)))
         assert np.array_equal(a.schedule, ref.schedule)
         assert np.array_equal(b.schedule, ref.schedule)
 

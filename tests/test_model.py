@@ -7,6 +7,7 @@ import pytest
 from conftest import convex_table, dyadic_beta, random_table_instance
 from rightsizing import (
     AffineAbsCost,
+    ConfigError,
     CostFunction,
     DomainError,
     InfeasibleError,
@@ -70,6 +71,19 @@ def test_eval_cost_errors():
         eval_cost(inst, [0, 3])
     with pytest.raises(DomainError):
         eval_cost(inst.replace(allowed_step=2), [1, 0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_eval_cost_rejects_a_non_finite_state_before_the_integer_cast(bad):
+    inst = ProblemInstance(3, 2, 1.0, (TableCost([0, 1, 2]),) * 3)
+    with pytest.raises(DomainError, match="finite integers"):
+        eval_cost(inst, [bad, 0, 0])
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0])
+def test_instance_requires_a_finite_positive_beta(beta):
+    with pytest.raises(ConfigError):
+        ProblemInstance(1, 1, beta, (TableCost([0, 1]),))
 
 
 def restricted_instance(m, beta, loads, eps=0.1, slope_k=2.0):

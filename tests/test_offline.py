@@ -13,6 +13,8 @@ from conftest import (
 )
 from rightsizing import (
     AlignmentError,
+    ConfigError,
+    DomainError,
     InfeasibleError,
     ProblemInstance,
     ShapeError,
@@ -67,7 +69,23 @@ def test_dp_single_slot_powers_up_when_worth_it():
 def test_dp_empty_column_rejected():
     inst = ProblemInstance(2, 2, 1.0, (TableCost([0, 1, 2]), TableCost([0, 1, 2])))
     with pytest.raises(ShapeError):
-        dp_optimal(inst, columns=[(0, 1), ()])
+        dp_optimal(inst, columns=np.empty((2, 0), dtype=np.int64))
+
+
+@pytest.mark.parametrize("state", [-1, 5, 3])
+def test_dp_columns_reject_a_disallowed_state(state):
+    # Below 0, above m, and off the grid of multiples of allowed_step = 2.
+    inst = ProblemInstance(2, 4, 1.0, (TableCost([0, 1, 2, 3, 4]),) * 2, allowed_step=2)
+    cols = np.array([[0, 2, 4], [0, 2, state]])
+    with pytest.raises(DomainError):
+        dp_optimal(inst, columns=cols)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_dp_columns_need_one_row_per_slot(rows):
+    inst = ProblemInstance(2, 2, 1.0, (TableCost([0, 1, 2]), TableCost([0, 1, 2])))
+    with pytest.raises(ShapeError):
+        dp_optimal(inst, columns=np.zeros((rows, 3), dtype=np.int64))
 
 
 def test_dp_lexicographic_tie_break():
@@ -83,7 +101,7 @@ def test_dp_grid_and_window_paths_agree():
         T = int(rng.integers(1, 15))
         m = int(rng.integers(1, 12))
         inst = random_table_instance(rng, T, m)
-        full_cols = [tuple(range(m + 1))] * T
+        full_cols = np.tile(np.arange(m + 1), (T, 1))
         a = dp_optimal(inst)
         b = dp_optimal(inst, columns=full_cols)
         assert a.cost == b.cost
@@ -114,8 +132,8 @@ def test_dp_columns_infeasible_when_a_slot_is_all_inf(dead_slot):
     tables = [TableCost([1, 0, 1, 2]) for _ in range(3)]
     tables[dead_slot] = TableCost([inf, inf, 0, 0])
     inst = ProblemInstance(3, 3, 1.0, tuple(tables))
-    cols = [(0, 1, 2, 3)] * 3
-    cols[dead_slot] = (0, 1)
+    cols = np.tile(np.arange(4), (3, 1))
+    cols[dead_slot] = (0, 1, 1, 1)  # a short column repeats its last state
     with pytest.raises(InfeasibleError):
         dp_optimal(inst, columns=cols)
 
@@ -261,23 +279,25 @@ def test_padding_zero_top_value():
 
 
 def test_refine_window_mid_range():
-    cols = refine_candidates([4], k=2, m=16)
-    assert cols[0] == (0, 2, 4, 6, 8)
+    assert refine_candidates([4], k=2, m=16).tolist() == [[0, 2, 4, 6, 8]]
 
 
 def test_refine_window_clipped_low():
-    cols = refine_candidates([0], k=1, m=8)
-    assert cols[0] == (0, 1, 2)
+    assert refine_candidates([0], k=1, m=8).tolist() == [[0, 0, 0, 1, 2]]
 
 
 def test_refine_window_clipped_high():
-    cols = refine_candidates([8], k=1, m=8)
-    assert cols[0] == (6, 7, 8)
+    assert refine_candidates([8], k=1, m=8).tolist() == [[6, 7, 8, 8, 8]]
 
 
 def test_refine_rejects_misaligned():
     with pytest.raises(AlignmentError):
         refine_candidates([3], k=2, m=16)
+
+
+def test_refine_rejects_level_below_one():
+    with pytest.raises(ConfigError):
+        refine_candidates([0], k=0, m=16)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +341,21 @@ def test_solve_poly_iterations_monotone_improvement():
     inst = random_affine_instance(rng, 12, 32)
     padded = pad_to_power_of_two(inst)
     K = padded.m.bit_length() - 3
-    cols = [tuple(range(0, padded.m + 1, 1 << K))] * padded.T
-    prev_cost = None
-    for k in range(K, -1, -1):
-        res = dp_optimal(padded, columns=cols)
+    # The first level's rows {0, m/4, m/2, 3m/4, m} are the window around m/2.
+    x = np.full(padded.T, padded.m // 2)
+    assert refine_candidates(x, K + 1, padded.m)[0].tolist() == [
+        i * padded.m // 4 for i in range(5)]
+    prev_cost, probed = None, 0
+    for k in range(K + 1, 0, -1):
+        res = dp_optimal(padded, columns=refine_candidates(x, k, padded.m))
         if prev_cost is not None:
             assert res.cost <= prev_cost + REL
-        prev_cost = res.cost
-        if k > 0:
-            cols = refine_candidates(res.schedule, k, padded.m)
+        prev_cost, x = res.cost, res.schedule
+        probed += res.states_probed
     assert costs_close(prev_cost, dp_optimal(inst).cost)
+    poly = solve_poly(inst)
+    assert np.array_equal(x, poly.schedule)
+    assert probed == poly.states_probed
 
 
 def test_solve_poly_never_emits_padded_states():
@@ -487,7 +512,7 @@ def test_window_and_grid_tie_breaks_agree_on_integer_data():
         inst = random_table_instance(rng, T, m, beta=float(rng.integers(1, 5)),
                                      integer=True)
         a = dp_optimal(inst)
-        b = dp_optimal(inst, columns=[tuple(range(m + 1))] * T)
+        b = dp_optimal(inst, columns=np.tile(np.arange(m + 1), (T, 1)))
         assert np.array_equal(a.schedule, b.schedule)
 
 

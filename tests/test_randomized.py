@@ -14,6 +14,7 @@ from rightsizing import (
     DomainError,
     ProblemInstance,
     ReplayPolicy,
+    ShapeError,
     TableCost,
     algorithm_b_step,
     classify_pull,
@@ -216,6 +217,22 @@ def test_policy_emitting_out_of_range_is_caught():
     inst = random_affine_instance(rng, 2, 1)
     with pytest.raises(ContractError):
         rounding_run(ReplayPolicy([0.5, 4.0]), inst, seed=0)
+
+
+@pytest.mark.parametrize("xbar", [[0.5], [0.5, 0.5, 0.5, 0.5]])
+def test_rounding_run_rejects_a_schedule_of_the_wrong_length(xbar):
+    inst = random_affine_instance(np.random.default_rng(14), 3, 1)
+    with pytest.raises(ShapeError):
+        rounding_run(xbar, inst, seed=0)
+
+
+def test_rounding_run_under_the_symmetric_convention():
+    rng = np.random.default_rng(15)
+    inst = random_affine_instance(rng, 8, 2).replace(convention="symmetric")
+    xbar = _fractional_walk(rng, 8, 2)
+    res = rounding_run(xbar, inst, seed=4)
+    assert res.cost == eval_cost(inst, res.schedule)
+    assert res.fractional_cost == extend_continuous(inst).cost(xbar)
 
 
 def test_algorithm_b_policy_against_pull_functions():
