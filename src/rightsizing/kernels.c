@@ -8,8 +8,9 @@
  *
  * Build with -ffp-contract=off and without -ffast-math: every sum below
  * must round as the numpy twin's does, so both give the same schedules,
- * ties included.  min/argmin follow numpy: the first minimum wins, and the
- * first NaN wins over any number.  NaN operating costs count as +inf.
+ * ties included.  min/argmin follow numpy: the first minimum wins.  The
+ * operating costs hold no NaN and no -inf (offline._kernel_costs sees to
+ * that) and beta is finite, so no sum below is NaN.
  */
 #include <math.h>
 #include <stdint.h>
@@ -19,15 +20,10 @@ static double climb(int64_t d, double beta)
     return d > 0 ? beta * (double)d : 0.0;
 }
 
-static inline double cost(const double *F, int64_t k)
-{
-    return isnan(F[k]) ? INFINITY : F[k];
-}
-
-/* np.minimum(a, b): NaN propagates, and on a tie the second operand. */
+/* np.minimum(a, b) on numbers: on a tie the second operand. */
 static inline double np_min(double a, double b)
 {
-    return (a < b || isnan(a)) ? a : b;
+    return a < b ? a : b;
 }
 
 /* Writes the lexicographically smallest minimum-cost schedule over the
@@ -45,12 +41,8 @@ static inline int dp(int64_t T, const int64_t W, const int64_t *S, int64_t st, i
         h[j] = 0.0;
     for (int64_t t = T - 2; t >= 0; t--) {
         const int64_t *s = S + t * st, *sn = s + st;
-        /* Whether a sum below may be NaN: a NaN beta or g, or a -inf g. */
-        int nan = isnan(beta);
-        for (int64_t j = 0; j < W; j++) {
-            g[j] = cost(F, (t + 1) * ft + j * fi) + h[j];
-            nan |= !(g[j] > -INFINITY);
-        }
+        for (int64_t j = 0; j < W; j++)
+            g[j] = F[(t + 1) * ft + j * fi] + h[j];
         for (int64_t i = 0; i < W; i++) {
             int64_t s_i = s[i * si];
             double best = g[0] + climb(sn[0] - s_i, beta);
@@ -60,14 +52,6 @@ static inline int dp(int64_t T, const int64_t W, const int64_t *S, int64_t st, i
                 bi = v < best ? j : bi;
                 best = v < best ? v : best;
             }
-            for (int64_t j = 0; nan && j < W; j++) {
-                double v = g[j] + climb(sn[j * si] - s_i, beta);
-                if (isnan(v)) {
-                    best = v;
-                    bi = j;
-                    break;
-                }
-            }
             h[i] = best;
             P[t * W + i] = bi;
         }
@@ -75,8 +59,8 @@ static inline int dp(int64_t T, const int64_t W, const int64_t *S, int64_t st, i
     double best = 0.0;
     int64_t i = 0;
     for (int64_t j = 0; j < W; j++) {
-        double v = beta * (double)S[j * si] + cost(F, j * fi) + h[j];
-        if (j == 0 || v < best || (isnan(v) && !isnan(best))) {
+        double v = beta * (double)S[j * si] + F[j * fi] + h[j];
+        if (j == 0 || v < best) {
             best = v;
             i = j;
         }
@@ -114,7 +98,7 @@ void grid_backward(int64_t B, int64_t n, const double *F, const double *ramp,
         const double *f = F + r * n, *next = H - r * n;
         double *c = H - (r + 1) * n;
         for (int64_t j = 0; j < n; j++)
-            c[j] = cost(f, j) + next[j];
+            c[j] = f[j] + next[j];
         double s = c[n - 1] + ramp[n - 1];
         work[n - 1] = s - ramp[n - 1];
         for (int64_t j = n - 2; j >= 0; j--) {
@@ -146,12 +130,7 @@ int grid_forward(int64_t B, int64_t n, const double *F, const double *H,
         int64_t bi = 0;
         for (int64_t j = 0; j < n; j++) {
             double d = sf[j] - (double)prev;
-            double v = (beta * (d > 0.0 ? d : 0.0) + cost(f, j)) + h[j];
-            if (isnan(v)) {
-                best = v;
-                bi = j;
-                break;
-            }
+            double v = (beta * (d > 0.0 ? d : 0.0) + f[j]) + h[j];
             if (j == 0 || v < best) {
                 best = v;
                 bi = j;

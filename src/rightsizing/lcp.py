@@ -31,7 +31,7 @@ from .model import (
     ShapeError,
     eval_cost,
 )
-from .offline import _climb_min
+from .offline import _climb_min, _kernel_costs
 
 #: Dense cost arrays make each step O(m); refuse silently huge fleets.
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -107,8 +107,7 @@ def _dense_band(state: LcpState, f: CostFunction) -> tuple[int, int]:
         state.reach_costs = np.concatenate(([0.0], np.cumsum(np.cumsum(jumps))))
         state.ramp = state.beta * np.arange(m + 1, dtype=np.float64)
         state.mirrored_ramp = -state.ramp[::-1]
-    # NaN counts as +inf, as in the offline solvers.
-    fvals = np.fmin(f.eval_grid(np.arange(m + 1, dtype=np.int64)), np.inf)
+    fvals = _kernel_costs(f.eval_grid(np.arange(m + 1, dtype=np.int64)))
     # min over x' of prev(x') + beta * (x - x')^+ is the offline climb step
     # on the mirrored grid, where powering up runs downhill.
     reach = _climb_min(state.reach_costs[::-1], state.mirrored_ramp)[::-1] + fvals

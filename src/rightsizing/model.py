@@ -464,6 +464,18 @@ def function_to_json(f: CostFunction) -> dict:
     raise SchemaError(f"cost kind {f.kind!r} has no JSON form")
 
 
+def _json_number(doc: dict, field: str) -> float:
+    """``doc[field]`` as a float; only a JSON number is one."""
+    v = doc[field]
+    # type() rather than isinstance: true and false are not numbers.
+    if type(v) not in (int, float):
+        raise SchemaError(f"{field!r} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise SchemaError(f"{field!r}: {exc}") from exc
+
+
 def function_from_json(doc: dict) -> CostFunction:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("function entry must be an object with a 'kind' field")
@@ -472,10 +484,10 @@ def function_from_json(doc: dict) -> CostFunction:
         if kind == "table":
             return TableCost(doc["values"])
         if kind == "affine_abs":
-            return AffineAbsCost(float(doc["eps"]), float(doc["center"]))
+            return AffineAbsCost(_json_number(doc, "eps"), _json_number(doc, "center"))
         if kind == "restricted":
-            return RestrictedLoadCost(float(doc["lambda"]), eps=float(doc["eps"]),
-                                      slope_k=float(doc["slope_k"]))
+            return RestrictedLoadCost(_json_number(doc, "lambda"), eps=_json_number(doc, "eps"),
+                                      slope_k=_json_number(doc, "slope_k"))
     except KeyError as exc:
         raise SchemaError(f"function kind {kind!r} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -510,10 +522,7 @@ def instance_from_json(doc: dict) -> ProblemInstance:
         # type() rather than isinstance: true and false are not counts.
         if not (type(v) is int or type(v) is float and v.is_integer()):
             raise SchemaError(f"{field!r} must be an integer, got {v!r}")
-    try:
-        beta = float(doc["beta"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from exc
+    beta = _json_number(doc, "beta")
     T, m = int(doc["T"]), int(doc["m"])
     fns = tuple(function_from_json(d) for d in doc["functions"])
     try:

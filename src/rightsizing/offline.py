@@ -51,8 +51,19 @@ class SolveResult:
 
 
 def evaluate_rows(functions: Sequence[CostFunction], states: np.ndarray) -> np.ndarray:
-    """Operating costs for one candidate row of states per slot."""
-    return _row_evaluator(functions)(states)
+    """Operating costs for one candidate row of states per slot, as the DP
+    kernels take them (see ``_kernel_costs``)."""
+    return _kernel_costs(_row_evaluator(functions)(states))
+
+
+def _kernel_costs(F: np.ndarray) -> np.ndarray:
+    """``F`` itself when it holds no NaN and no -inf, else a copy in which a
+    NaN, which forbids its state, is +inf; ``DomainError`` on a -inf cost."""
+    if F.min(initial=np.inf) > -np.inf:
+        return F
+    if np.isneginf(F).any():
+        raise DomainError("an operating cost is -inf")
+    return np.where(np.isnan(F), np.inf, F)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +102,6 @@ def _window_dp_numpy(S, F, beta):
     the forward greedy makes from that state, so the schedule is a walk
     along the pointer table."""
     T, W = S.shape
-    # A NaN cost never wins a strict comparison, so it marks a forbidden
-    # state exactly as +inf does; min/argmin would propagate it instead.
-    F = np.where(np.isnan(F), np.inf, F)
     d = S[1:, None, :] - S[:-1, :, None]
     climb = np.where(d > 0, beta * d, 0.0)
     H = np.zeros((T, W), dtype=np.float64)
@@ -139,8 +147,7 @@ _DP_BLOCK_CELLS = 1 << 16
 def _dp_grid(instance: ProblemInstance) -> tuple[np.ndarray, int]:
     """O(m)-per-column DP over the full allowed grid, one climb step per
     column; each pass evaluates the costs a block of slots at a time and
-    hands the block to its kernel.  NaN costs count as +inf, as in the
-    window kernel."""
+    hands the block to its kernel."""
     states = instance.allowed_states()
     sf = states.astype(np.float64)
     beta = instance.beta
@@ -181,7 +188,7 @@ def _grid_backward(F, H, t, ramp):
 
 
 def _grid_backward_numpy(F, H, t, ramp):
-    for r, f in enumerate(np.fmin(F, np.inf)):
+    for r, f in enumerate(F):
         H[t - 1 - r] = _climb_min(f + H[t - r], ramp)
 
 
@@ -203,7 +210,7 @@ def _grid_forward(F, H, t, states, sf, beta, x) -> bool:
 def _grid_forward_numpy(F, H, t, states, sf, beta, x) -> bool:
     prev = x[t - 1] if t else 0
     finite = True
-    for r, f in enumerate(np.fmin(F, np.inf)):
+    for r, f in enumerate(F):
         v = beta * np.maximum(sf - prev, 0.0) + f + H[t + r]
         i = int(np.argmin(v))
         finite = finite if r else bool(np.isfinite(v[i]))
@@ -233,6 +240,7 @@ def dp_optimal(instance: ProblemInstance, columns: np.ndarray | None = None) -> 
     Among equal-cost optima the lexicographically smallest schedule is
     returned, and the reported cost is re-evaluated from the schedule.
     """
+    _check_fleet(instance)
     if columns is None:
         x, probed = _dp_grid(instance)
     else:
@@ -267,7 +275,9 @@ class PaddedCost(CostFunction):
         inner = _row_evaluator([f.inner for f in fns])
         m0 = np.array([f.m_orig for f in fns])[:, None]
         slope = inner(m0) + np.array([f.eps_pad for f in fns])[:, None]
-        return lambda S: np.where(S <= m0, inner(np.minimum(S, m0)), S * slope)
+        # Lanes at or below m0 never read the slope, whose 0 * inf is NaN.
+        return lambda S: np.where(S <= m0, inner(np.minimum(S, m0)),
+                                  np.maximum(S, m0 + 1) * slope)
 
 
 def pad_to_power_of_two(instance: ProblemInstance, eps_pad: float = 1.0) -> ProblemInstance:
@@ -281,6 +291,22 @@ def pad_to_power_of_two(instance: ProblemInstance, eps_pad: float = 1.0) -> Prob
     m2 = 1 << m.bit_length()
     fns = tuple(PaddedCost(f, m, eps_pad) for f in instance.functions)
     return instance.replace(m=m2, functions=fns)
+
+
+#: The largest fleet whose states, padded to a power of two, fit int64.
+_MAX_FLEET = 1 << 62
+
+
+def _check_fleet(instance: ProblemInstance) -> None:
+    if instance.m > _MAX_FLEET:
+        raise ConfigError(f"m = {instance.m} exceeds the exact solvers' limit 2^62")
+
+
+def _has_finite_state(f: CostFunction, m: int) -> bool:
+    """Whether ``f`` is finite somewhere on 0..m, read a block of states at
+    a time, so that a slot with no feasible state costs no O(m) memory."""
+    return any((f.eval_grid(np.arange(lo, min(lo + _DP_BLOCK_CELLS, m + 1))) < np.inf).any()
+               for lo in range(0, m + 1, _DP_BLOCK_CELLS))
 
 
 def refine_candidates(schedule: Sequence[int], k: int, m: int) -> np.ndarray:
@@ -305,17 +331,25 @@ def solve_poly(instance: ProblemInstance) -> SolveResult:
     After padding the fleet to a power of two, each pass optimizes over
     the windows that ``refine_candidates`` builds around the last optimum,
     on a grid twice as fine as the last one: the first pass, around m/2,
-    probes the rows {0, m/4, m/2, 3m/4, m}.  Fleets below four states fall
-    back to the full DP.
+    probes the rows {0, m/4, m/2, 3m/4, m}.  Fleets below four states, and
+    instances with a slot that is infinite at both 0 and m, fall back to the
+    full DP: such a slot's finite states may all miss the first window.
     """
     if instance.allowed_step != 1:
         raise ConfigError("the window solver requires the full state grid")
+    _check_fleet(instance)
     padded = pad_to_power_of_two(instance)
     mp = padded.m
     if mp < 4:
         return dp_optimal(instance)
     K = mp.bit_length() - 3  # mp = 2^(K+2)
     rows = _row_evaluator(padded.functions)
+    ends = rows(np.broadcast_to(np.array([0, mp], dtype=np.int64), (instance.T, 2)))
+    dead = np.flatnonzero(~(ends < np.inf).any(axis=1))
+    if dead.size:
+        if not all(_has_finite_state(instance.functions[t], instance.m) for t in dead):
+            raise InfeasibleError("no feasible schedule exists")
+        return dp_optimal(instance)
     x = np.full(instance.T, mp // 2, dtype=np.int64)
     probed = 0
     for k in range(K + 1, 0, -1):
@@ -323,7 +357,7 @@ def solve_poly(instance: ProblemInstance) -> SolveResult:
         # F stays bound until the next level's rows replace it: passing
         # rows(S) straight to the kernel made the solve about 30 % slower at
         # T = 1e4, m = 2^20 (2-core x86 host, numpy 2.4).
-        F = rows(S)
+        F = _kernel_costs(rows(S))
         x = _window_schedule(S, F, instance.beta)
         probed += S.size
     if int(x.max()) > instance.m:

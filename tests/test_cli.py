@@ -148,6 +148,17 @@ BAD_DOCS = {
                   "'m' must be an integer, got True", {"m": True}),
     "infinite-m": ([AFFINE] * 2, ["solve", "--algorithm", "poly"],
                    "'m' must be an integer, got inf", {"m": INF}),
+    "boolean-beta": ([AFFINE] * 2, ["solve", "--algorithm", "poly"],
+                     "'beta' must be a number, got True", {"beta": True}),
+    "string-beta": ([AFFINE] * 2, ["solve", "--algorithm", "poly"],
+                    "'beta' must be a number, got '1.5'", {"beta": "1.5"}),
+    "huge-integer-beta": ([AFFINE] * 2, ["solve", "--algorithm", "poly"],
+                          "'beta': int too large to convert to float", {"beta": 10**400}),
+    "boolean-eps": ([{"kind": "affine_abs", "eps": True, "center": 1.0}, AFFINE],
+                    ["solve", "--algorithm", "poly"], "'eps' must be a number, got True"),
+    "boolean-lambda": ([{"kind": "restricted", "eps": 0.5, "slope_k": 2.0, "lambda": False},
+                        AFFINE], ["simulate", "--policy", "lcp"],
+                       "'lambda' must be a number, got False"),
 }
 
 
@@ -159,6 +170,36 @@ def test_invalid_costs_rejected_at_load_exit_2(tmp_path, capsys, name):
     path = write_instance(tmp_path, doc)
     assert main(argv[:1] + [path] + argv[1:]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_solve_poly_finds_a_slot_finite_only_inside_the_fleet(tmp_path, capsys):
+    # m = 6 pads to 8, whose first window {0, 2, 4, 6, 8} misses state 5.
+    doc = {"T": 1, "m": 6, "beta": 1.0, "convention": "up_only",
+           "functions": [_table(INF, INF, INF, INF, INF, 3, INF)]}
+    path = write_instance(tmp_path, doc)
+    found = {}
+    for algo in ("poly", "oracle"):
+        assert main(["solve", path, "--algorithm", algo]) == 0
+        out = json.loads(capsys.readouterr().out)
+        found[algo] = out["schedule"], out["cost"]
+    assert found["poly"] == found["oracle"] == ([5], 8.0)
+
+
+def test_solve_padding_raises_no_warning(tmp_path, capsys):
+    # The padded slope is +inf, and the lanes below the fleet multiply it by
+    # 0 before np.where drops them; RuntimeWarning is an error under pytest.
+    doc = {"T": 2, "m": 3, "beta": 1.0, "convention": "up_only",
+           "functions": [_table(0, 1, 2, INF), _table(2, 1, 0, INF)]}
+    assert main(["solve", write_instance(tmp_path, doc), "--algorithm", "poly"]) == 0
+    assert json.loads(capsys.readouterr().out)["schedule"] == [0, 0]
+
+
+@pytest.mark.parametrize("m,algo,code", [(1e30, "poly", 4), (1e30, "oracle", 4),
+                                         ((1 << 62) + 1, "poly", 4), (1 << 62, "poly", 0)])
+def test_solve_fleet_beyond_int64_exit_4(tmp_path, capsys, m, algo, code):
+    doc = {"T": 2, "m": m, "beta": 1.0, "convention": "up_only", "functions": [AFFINE] * 2}
+    assert main(["solve", write_instance(tmp_path, doc), "--algorithm", algo]) == code
+    assert ("2^62" in capsys.readouterr().err) == (code == 4)
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])

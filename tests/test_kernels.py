@@ -13,15 +13,18 @@ import pytest
 
 from conftest import convex_table, random_affine_instance, random_table_instance
 from rightsizing import (
+    DomainError,
     InfeasibleError,
     ProblemInstance,
     RestrictedLoadCost,
     TableCost,
     dp_optimal,
     kernels,
+    lcp_run,
     offline,
     randomized,
     rounding_ensemble,
+    solve_poly,
 )
 from rightsizing.model import ContractError, switching_cost
 
@@ -94,19 +97,29 @@ def _grid_instances():
     return out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_grid_kernels_propagate_nan_as_numpy_does(paths):
-    # A -inf cost next to +inf values makes inf - inf sums: NaN then spreads
-    # through np.minimum, and the first NaN wins the forward argmin.
+def test_minus_inf_cost_is_a_domain_error(monkeypatch):
+    # -inf next to +inf would make inf - inf sums; every solver rejects it
+    # before a kernel runs, compiled or numpy.
     inf = np.inf
     inst = ProblemInstance(4, 3, 1.0, (TableCost([1.0, 0.0, 2.0, 3.0]),
                                        TableCost([inf, -inf, 1.0, inf]),
                                        TableCost([0.0, inf, 1.0, 2.0]),
                                        TableCost([2.0, 1.0, -inf, 0.0])))
-    (H, x, ok), (H_np, x_np, ok_np) = paths(_grid_passes, inst)
-    assert np.isnan(H).any()
-    assert np.array_equal(H, H_np, equal_nan=True)
-    assert np.array_equal(x, x_np) and ok == ok_np
+    for load in (kernels.load, lambda: None):
+        monkeypatch.setattr(kernels, "load", load)
+        for solve in (dp_optimal, solve_poly, lcp_run):
+            with pytest.raises(DomainError):
+                solve(inst)
+
+
+def test_kernel_costs_maps_nan_and_rejects_minus_inf():
+    inf = np.inf
+    clean = np.array([[0.0, 1.5, inf], [-0.0, 2.0, 3.0]])
+    assert offline._kernel_costs(clean) is clean
+    F = np.array([[np.nan, 1.5, inf], [2.0, np.nan, 0.0]])
+    assert offline._kernel_costs(F).tolist() == [[inf, 1.5, inf], [2.0, inf, 0.0]]
+    with pytest.raises(DomainError):
+        offline._kernel_costs(np.array([1.0, np.nan, -inf]))
 
 
 @pytest.mark.parametrize("instance", _grid_instances())

@@ -31,7 +31,7 @@ from rightsizing import (
     scale_psi,
     solve_poly,
 )
-from rightsizing.offline import _window_dp, _window_dp_numpy
+from rightsizing.offline import _kernel_costs, _window_dp, _window_dp_numpy
 
 REL = 1e-9
 
@@ -226,8 +226,9 @@ def test_window_kernel_matches_scalar_reference():
     for _ in range(1200):
         S, F, beta = _random_window(rng)
         x_ref, ok_ref = _window_dp_reference(S, F, beta)
+        F_kernel = _kernel_costs(F)
         for kernel, order in itertools.product((_window_dp, _window_dp_numpy), "CF"):
-            x, ok = kernel(np.asarray(S, order=order), np.asarray(F, order=order), beta)
+            x, ok = kernel(np.asarray(S, order=order), np.asarray(F_kernel, order=order), beta)
             assert ok == ok_ref
             if ok:
                 assert np.array_equal(x, x_ref)
@@ -484,6 +485,19 @@ def test_solvers_agree_on_load_constrained_instances():
         assert costs_close(a.cost, b.cost)
         for f, x in zip(fns, b.schedule):
             assert x >= f.load
+
+
+def test_solve_poly_finds_no_state_without_the_full_dp(monkeypatch):
+    # A load above the fleet leaves the slot infinite at 0 and at m, as a
+    # table finite only inside the fleet is, but the slot has no finite
+    # state: the full DP's T x (m+1) table is never built for it.
+    from rightsizing import AffineAbsCost, RestrictedLoadCost, offline
+
+    inst = ProblemInstance(2, 1 << 20, 1.0, (AffineAbsCost(1.0, 3.0),
+                                             RestrictedLoadCost(2e6, eps=0.5, slope_k=2.0)))
+    monkeypatch.setattr(offline, "dp_optimal", None)
+    with pytest.raises(InfeasibleError):
+        solve_poly(inst)
 
 
 def test_solve_poly_on_stretched_instances():

@@ -43,7 +43,14 @@ def dyadic_slot(draw, m):
         # convex table: cumulative sums of sorted slopes, in eighths
         slopes = sorted(draw(st.lists(st.integers(-16, 16), min_size=m, max_size=m)))
         vals = np.concatenate(([0], np.cumsum(slopes)))
-        return TableCost((vals - vals.min() + draw(st.integers(0, 8))) / 8.0)
+        vals = (vals - vals.min() + draw(st.integers(0, 8))) / 8.0
+        if m >= 2 and draw(st.booleans()):
+            # finite only strictly inside (0, m), where the window solver's
+            # first window {0, m/4, m/2, 3m/4, m} can miss every finite state
+            lo = draw(st.integers(1, m - 1))
+            hi = draw(st.integers(lo, m - 1))
+            vals[:lo] = vals[hi + 1:] = np.inf
+        return TableCost(vals)
     return draw(dyadic_affine(m))
 
 
