@@ -1,16 +1,16 @@
 /* Compiled twins of the numpy kernels of the rightsizing package: the
- * window DP, the full DP's two passes and the rounding ensemble's advance.
+ * window DP, the full DP's two passes and the rounding ensemble.
  *
  *   window_dp       rightsizing.offline._window_dp_numpy
  *   grid_backward   rightsizing.offline._grid_backward_numpy
  *   grid_forward    rightsizing.offline._grid_forward_numpy
- *   ensemble_block  rightsizing.randomized._ensemble_block_numpy
+ *   ensemble        rightsizing.randomized._ensemble_numpy
  *
  * Build with -ffp-contract=off and without -ffast-math: every sum below
  * must round as the numpy twin's does, so both give the same schedules,
  * ties included.  min/argmin follow numpy: the first minimum wins.  The
- * operating costs hold no NaN and no -inf (offline._kernel_costs sees to
- * that) and beta is finite, so no sum below is NaN.
+ * DPs' operating costs hold no NaN and no -inf (offline._kernel_costs sees
+ * to that) and beta is finite, so no DP sum is NaN.
  */
 #include <math.h>
 #include <stdint.h>
@@ -143,40 +143,53 @@ int grid_forward(int64_t B, int64_t n, const double *F, const double *H,
     return first_finite;
 }
 
-/* Advances n rounding runs over B slots from slot t: U holds one uniform
- * draw per run and slot (B rows of n), and slot s has floor S[s, 0],
- * ceiling S[s, 1], move probability p[s] and direction dir[s] (1 up, -1
- * down, 0 when the fractional state is integral), with operating costs
- * F[s, 0] on the floor and F[s, 1] on the ceiling.  Each run's state x,
- * operating cost, and up and down moves are updated in slot order, and
- * upper[s] gets the number of runs above the floor. */
-void ensemble_block(int64_t t, int64_t B, int64_t n, const int64_t *S,
-                    const double *p, const int8_t *dir, const double *F, const double *U,
-                    int64_t *x, double *operating, int64_t *ups, int64_t *downs,
-                    double *upper)
+/* numpy's PCG64 (O'Neill's PCG XSL-RR 128/64) and its Generator.random():
+ * the 128-bit LCG step, the XSL-RR output of the new state, and the top 53
+ * bits scaled to [0, 1), so the kernel draws numpy's stream bit for bit. */
+typedef unsigned __int128 u128;
+
+static inline double pcg64_random(u128 *state, u128 inc)
 {
-    for (int64_t b = 0; b < B; b++)
-        upper[t + b] = 0.0;
-    for (int64_t r = 0; r < n; r++) {
-        int64_t xr = x[r], up = ups[r], down = downs[r];
-        double op = operating[r];
-        for (int64_t b = 0; b < B; b++) {
-            const int64_t s = t + b, l = S[2 * s], h = S[2 * s + 1];
-            /* A run moves to `to` when it is there already or its draw falls
-             * below the probability, else to `from`; an integral slot sends
-             * every run to its floor. */
-            const int64_t to = dir[s] < 0 ? l : h, from = dir[s] < 0 ? h : l;
-            const int go = dir[s] == 0 || xr == to || U[b * n + r] < p[s];
-            const int64_t next = go ? to : from;
-            op += next == h ? F[2 * s + 1] : F[2 * s];
-            up += next > xr ? next - xr : 0;
-            down += next < xr ? xr - next : 0;
-            upper[s] += next > l;
-            xr = next;
+    const u128 mult = (u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
+    *state = *state * mult + inc;
+    const uint64_t v = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    const unsigned rot = (unsigned)(*state >> 122);
+    return (double)((v >> rot | v << ((64 - rot) & 63)) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Advances n rounding runs over T slots, drawing one uniform per run and
+ * slot, slot by slot, from the PCG64 generator whose state and increment
+ * are pcg = {state >> 64, state & (2^64 - 1), inc >> 64, inc & (2^64 - 1)}.
+ * Slot s has floor S[s, 0], ceiling S[s, 1], move probability p[s] and
+ * direction dir[s] (1 up, -1 down, 0 when the fractional state is
+ * integral), with operating costs F[s, 0] on the floor and F[s, 1] on the
+ * ceiling.  Each run's state x, operating cost, and up and down moves are
+ * updated in slot order, and upper[s] gets the number of runs above the
+ * floor. */
+void ensemble(int64_t T, int64_t n, const int64_t *S, const double *p, const int8_t *dir,
+              const double *F, const uint64_t *pcg, int64_t *x, double *operating,
+              int64_t *ups, int64_t *downs, double *upper)
+{
+    u128 state = (u128)pcg[0] << 64 | pcg[1];
+    const u128 inc = (u128)pcg[2] << 64 | pcg[3];
+    for (int64_t s = 0; s < T; s++) {
+        const int64_t l = S[2 * s], h = S[2 * s + 1];
+        /* A run moves to `to` when it is there already or its draw falls
+         * below the probability, else to `from`; an integral slot sends
+         * every run to its floor, and still takes its draws. */
+        const int64_t to = dir[s] < 0 ? l : h, from = dir[s] < 0 ? h : l;
+        const int integral = dir[s] == 0;
+        const double ps = p[s], f_lo = F[2 * s], f_hi = F[2 * s + 1];
+        int64_t above = 0;
+        for (int64_t r = 0; r < n; r++) {
+            const double u = pcg64_random(&state, inc);
+            const int64_t xr = x[r], next = integral || xr == to || u < ps ? to : from;
+            operating[r] += next == h ? f_hi : f_lo;
+            ups[r] += next > xr ? next - xr : 0;
+            downs[r] += next < xr ? xr - next : 0;
+            above += next > l;
+            x[r] = next;
         }
-        x[r] = xr;
-        operating[r] = op;
-        ups[r] = up;
-        downs[r] = down;
+        upper[s] = (double)above;
     }
 }

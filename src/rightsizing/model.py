@@ -132,6 +132,11 @@ class TableCost(CostFunction):
             return lambda S: np.array([f.values[s] for f, s in
                                        zip(fns, S.astype(np.int64, copy=False))])
         V = np.stack([f.values for f in fns])
+        # A solver that probes only some states must still see a -inf
+        # anywhere in the table; NaN makes the min NaN, and still forbids
+        # its state, so only a failed min pays the full scan.
+        if not V.min(initial=np.inf) > -np.inf and np.isneginf(V).any():
+            raise DomainError("an operating cost is -inf")
         r = np.arange(len(fns))[:, None]
         return lambda S: V[r, S.astype(np.int64, copy=False)]
 

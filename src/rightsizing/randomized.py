@@ -6,10 +6,10 @@ fractional state, choosing transition probabilities so that the chance of
 sitting on the ceiling always equals the fractional part.  This preserves
 both expected operating cost and expected switching cost exactly.
 
-An ensemble of runs advances a block of slots per call of a C kernel
+An ensemble of runs advances over every slot in one call of a C kernel
 (``kernels.c``, compiled on first use by ``kernels.load``, never at
-import); its numpy twin gives the same results bit for bit where no C
-compiler works.
+import) that draws numpy's ``PCG64`` stream itself; its numpy twin gives
+the same results bit for bit where no C compiler works.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ TOWARD_ZERO = "toward0"
 TOWARD_ONE = "toward1"
 
 _PROB_SLACK = 1e-9
-
-#: Uniform draws per block of ``rounding_ensemble``: 128 KiB, about what the
-#: numpy twin's temporaries take for one slot of 4000 runs, so the buffer
-#: does not raise the peak memory of a duel.
-_DRAW_BLOCK_CELLS = 1 << 14
 
 
 class FractionalPolicy(Protocol):
@@ -114,9 +109,15 @@ class AlgorithmB:
 
     def __init__(self, eps: float):
         self._state = AlgorithmBState(eps)
+        # Each cost object is classified once; they hash by identity, and a
+        # duel plays the same two objects slot after slot.
+        self._pulls: dict[CostFunction, str] = {}
 
     def step(self, f: CostFunction) -> float:
-        return algorithm_b_step(self._state, classify_pull(f))
+        label = self._pulls.get(f)
+        if label is None:
+            label = self._pulls[f] = classify_pull(f)
+        return algorithm_b_step(self._state, label)
 
     @property
     def fractional_state(self) -> float:
@@ -252,8 +253,9 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     """Many independent rounding runs of one fractional schedule at once.
 
     All runs share the per-slot transition probabilities, so the whole
-    ensemble advances a block of slots per kernel call, on one uniform draw
-    per run and slot; used for marginal and expected-cost estimates.
+    ensemble advances in one kernel call, on one uniform draw per run and
+    slot taken slot by slot from ``PCG64(seed)``; used for marginal and
+    expected-cost estimates.
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be positive")
@@ -266,19 +268,13 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     F = np.ascontiguousarray(row_evaluator(instance.functions)(S), dtype=np.float64)
     # Every probability is checked before the first draw.
     p, direction = _transitions(arr)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))  # the stream of default_rng(seed)
     x = np.zeros(n_runs, dtype=np.int64)
     operating = np.zeros(n_runs, dtype=np.float64)
     ups = np.zeros(n_runs, dtype=np.int64)
     downs = np.zeros(n_runs, dtype=np.int64)
     upper = np.empty(instance.T, dtype=np.float64)  # runs above the floor, then their share
-    # A block of draws, at most _DRAW_BLOCK_CELLS of them unless one slot
-    # needs more, takes the same numbers from the generator as one call per slot.
-    U = np.empty((max(1, _DRAW_BLOCK_CELLS // max(n_runs, 1)), n_runs), dtype=np.float64)
-    for t in range(0, instance.T, len(U)):
-        block = U[:instance.T - t]
-        rng.random(out=block)
-        _ensemble_block(t, block, S, p, direction, F, x, operating, ups, downs, upper)
+    _ensemble(rng, S, p, direction, F, x, operating, ups, downs, upper)
     downs += x  # closing power-down to the all-asleep end state
     switching = switching_cost(instance.beta, instance.convention, ups, ups + downs)
     # Estimates marginal_upper: 0 on integral slots, where hi == lo.
@@ -299,26 +295,28 @@ def _transitions(xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, direction
 
 
-def _ensemble_block(t, U, S, p, direction, F, x, operating, ups, downs, upper):
-    """Advances the runs over the slots t, t+1, ..., one row of draws ``U``
-    per slot: the state ``x``, the operating cost and the up and down moves
-    of each run, and per slot ``upper``, the number of runs above the floor
+def _ensemble(rng, S, p, direction, F, x, operating, ups, downs, upper):
+    """Advances the runs over every slot, drawing ``rng.random(len(x))`` per
+    slot: the state ``x``, the operating cost and the up and down moves of
+    each run, and per slot ``upper``, the number of runs above the floor
     ``S[t, 0]``.  Every array is C-ordered with the dtype
-    ``rounding_ensemble`` gives it.  Runs the compiled kernel when there is
-    one, else the numpy twin."""
+    ``rounding_ensemble`` gives it.  Runs the compiled kernel, which draws
+    the ``PCG64`` stream from ``rng``'s state without advancing ``rng``,
+    when there is one, else the numpy twin."""
     lib = kernels.load()
     if lib is None:
-        return _ensemble_block_numpy(t, U, S, p, direction, F, x, operating,
-                                     ups, downs, upper)
-    lib.ensemble_block(t, U.shape[0], U.shape[1],
-                       *(a.ctypes.data for a in (S, p, direction, F, U, x, operating,
-                                                 ups, downs, upper)))
+        return _ensemble_numpy(rng, S, p, direction, F, x, operating, ups, downs, upper)
+    pcg = rng.bit_generator.state["state"]
+    words = np.array(divmod(pcg["state"], 1 << 64) + divmod(pcg["inc"], 1 << 64),
+                     dtype=np.uint64)
+    lib.ensemble(S.shape[0], x.size,
+                 *(a.ctypes.data for a in (S, p, direction, F, words, x, operating,
+                                           ups, downs, upper)))
 
 
-def _ensemble_block_numpy(t, U, S, p, direction, F, x, operating, ups, downs, upper):
-    for t, u in enumerate(U, start=t):
-        lo, hi = S[t]
-        x_new = _advance(x, lo, hi, p[t], direction[t], u)
+def _ensemble_numpy(rng, S, p, direction, F, x, operating, ups, downs, upper):
+    for t, (lo, hi) in enumerate(S):
+        x_new = _advance(x, lo, hi, p[t], direction[t], rng.random(x.size))
         operating += np.where(x_new == hi, F[t, 1], F[t, 0])
         d = x_new - x
         ups += np.maximum(d, 0)

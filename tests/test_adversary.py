@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from rightsizing import (
     TOWARD_ZERO,
     AdversaryConfig,
     AlgorithmB,
+    AlgorithmBState,
     ConfigError,
     adv_continuous_step,
     adv_discrete_step,
+    algorithm_b_step,
     build_restricted,
     dp_optimal,
     eval_cost,
@@ -178,6 +182,33 @@ def test_randomized_duel_report():
     assert 1.0 <= rep.ratio <= 2.0 + 1e-6
     # expected cost of rounding equals the fractional cost up to noise
     assert rep.policy_cost == pytest.approx(rep.fractional_cost, rel=0.05)
+
+
+def test_randomized_duel_classifies_each_cost_object_once(monkeypatch):
+    from rightsizing import adversary, randomized
+
+    classify = randomized.classify_pull
+    calls = Counter()
+
+    def counting(f):
+        calls[id(f)] += 1
+        return classify(f)
+
+    seen = {}
+
+    def ensemble(xbar, instance, n_runs, seed):
+        seen.update(xbar=list(xbar), fns=instance.functions)
+        return randomized.rounding_ensemble(xbar, instance, n_runs, seed)
+
+    monkeypatch.setattr(randomized, "classify_pull", counting)
+    monkeypatch.setattr(adversary, "rounding_ensemble", ensemble)
+    run_duel("random-round", AdversaryConfig(eps=0.1, variant="randomized", T=500,
+                                             n_runs=10, seed=3))
+    assert len(seen["fns"]) == 500
+    assert sorted(calls) == sorted({id(f) for f in seen["fns"]})
+    assert set(calls.values()) == {1}
+    state = AlgorithmBState(0.1)
+    assert seen["xbar"] == [algorithm_b_step(state, classify(f)) for f in seen["fns"]]
 
 
 @pytest.mark.parametrize("policy", ["lcp", "algorithm-b", "bogus", AlgorithmB(0.1)])

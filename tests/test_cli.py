@@ -396,6 +396,17 @@ def test_bench_lcp_suite(tmp_path):
         assert float(row.split(",")[3]) <= 3.0 + 1e-9
 
 
+def test_bench_random_suite(tmp_path):
+    assert main(["bench", "--suite", "random", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "bench_random.csv").read_text().strip().split("\n")
+    assert lines[0] == "T,m,runs,mean_over_fractional,ms"
+    # Every column but the timing is fixed by the seeds, on either kernel path.
+    assert [row.split(",")[:4] for row in lines[1:]] == [
+        ["50", "4", "10000", "1.000343331166836"],
+        ["200", "8", "5000", "0.9998916055037887"],
+    ]
+
+
 # ---------------------------------------------------------------------------
 # golden bytes
 # ---------------------------------------------------------------------------

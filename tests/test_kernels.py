@@ -112,6 +112,19 @@ def test_minus_inf_cost_is_a_domain_error(monkeypatch):
                 solve(inst)
 
 
+def test_minus_inf_at_a_state_no_window_probes_is_a_domain_error(monkeypatch):
+    # solve_poly's windows never reach state 63 of this table, yet the
+    # oracle rejects it, so the window solver must too.
+    values = np.arange(65.0)
+    values[63] = -np.inf
+    inst = ProblemInstance(1, 64, 1.0, (TableCost(values),))
+    for load in (kernels.load, lambda: None):
+        monkeypatch.setattr(kernels, "load", load)
+        for solve in (dp_optimal, solve_poly):
+            with pytest.raises(DomainError):
+                solve(inst)
+
+
 def test_kernel_costs_maps_nan_and_rejects_minus_inf():
     inf = np.inf
     clean = np.array([[0.0, 1.5, inf], [-0.0, 2.0, 3.0]])
@@ -194,38 +207,77 @@ def _ensemble_reference(xbar, instance, n_runs, seed):
     return operating + switching, upper
 
 
+def _random_walk(rng, T, m):
+    # clipping to the fleet's ends and rounding every fourth slot give
+    # integral slots, whose moves are deterministic but still take draws
+    walk = np.clip(np.cumsum(rng.uniform(-1.6, 1.6, T)) + m / 2, 0.0, m)
+    walk[::4] = np.round(walk[::4])
+    return walk
+
+
+def _half_walk(T):
+    """A walk on one server whose every move has probability 0.5 (up from x
+    to (1 + x) / 2, down from x to x / 2), so a draw out of step with
+    numpy's stream flips about half the runs' decisions."""
+    walk = np.empty(T)
+    x = 0.0
+    for t in range(T):
+        x = (1.0 + x) / 2.0 if t % 2 == 0 else x / 2.0
+        walk[t] = x
+    return walk
+
+
 def _ensemble_cases():
     rng = np.random.default_rng(43)
     cases = []
-    # Blocks of 23 and 4 slots at 700 and 4000 runs leave a short last block;
-    # 20 000 and 70 000 runs take one slot per block.
     for T, m, n_runs in [(1, 1, 5), (9, 1, 1), (50, 3, 700), (41, 2, 4000),
                          (6, 4, 20_000), (3, 2, 70_000)]:
-        inst = random_affine_instance(rng, T, m)
-        # clipping to the fleet's ends and rounding every fourth slot give
-        # integral slots, whose moves are deterministic
-        walk = np.clip(np.cumsum(rng.uniform(-1.6, 1.6, T)) + m / 2, 0.0, m)
-        walk[::4] = np.round(walk[::4])
-        cases.append((walk, inst, n_runs))
+        cases.append((_random_walk(rng, T, m), random_affine_instance(rng, T, m), n_runs))
     tables = random_table_instance(rng, 30, 5)
     cases.append((rng.uniform(0.0, 5.0, 30), tables, 333))
+    cases.append((_random_walk(rng, 1, 1), random_affine_instance(rng, 1, 1), 1))
+    cases.append((_random_walk(rng, 17, 3), random_affine_instance(rng, 17, 3), 999))
+    cases.append((_half_walk(64), random_affine_instance(rng, 64, 1), 1001))
     return cases
 
 
-@pytest.mark.parametrize("xbar,instance,n_runs", _ensemble_cases())
-def test_ensemble_kernel_matches_per_slot_reference(paths, xbar, instance, n_runs):
-    costs, upper = _ensemble_reference(xbar, instance, n_runs, seed=17)
-    a, b = paths(rounding_ensemble, xbar, instance, n_runs, 17)
+def _assert_ensemble_matches_reference(paths, xbar, instance, n_runs, seed):
+    costs, upper = _ensemble_reference(xbar, instance, n_runs, seed)
+    a, b = paths(rounding_ensemble, xbar, instance, n_runs, seed)
     for ens in (a, b):
         assert np.array_equal(ens.costs, costs)
         assert np.array_equal(ens.upper_frequency, upper)
 
 
-def test_ensemble_cases_cover_each_move_and_one_slot_blocks():
+@pytest.mark.parametrize("xbar,instance,n_runs", _ensemble_cases())
+def test_ensemble_kernel_matches_per_slot_reference(paths, xbar, instance, n_runs):
+    _assert_ensemble_matches_reference(paths, xbar, instance, n_runs, seed=17)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_ensemble_kernel_matches_per_slot_reference_for_each_seed(paths, seed):
+    rng = np.random.default_rng(1000 + seed)
+    T, m, n_runs = int(rng.integers(1, 40)), int(rng.integers(1, 5)), int(rng.integers(1, 300))
+    _assert_ensemble_matches_reference(paths, _random_walk(rng, T, m),
+                                       random_affine_instance(rng, T, m), n_runs, seed)
+    _assert_ensemble_matches_reference(paths, _half_walk(T), random_affine_instance(rng, T, 1),
+                                       2 * n_runs + 1, seed)
+
+
+def test_ensemble_cases_cover_each_move():
     cases = _ensemble_cases()
     moves = {d for xbar, _, _ in cases for d in randomized._transitions(xbar)[1].tolist()}
     assert moves == {-1, 0, 1}
-    assert max(n for _, _, n in cases) > offline._DP_BLOCK_CELLS > randomized._DRAW_BLOCK_CELLS
+    p, direction = randomized._transitions(cases[-1][0])
+    assert np.all(np.abs(p - 0.5) < 1e-12) and np.all(direction != 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**63 + 5])
+def test_ensemble_stream_is_default_rng(seed):
+    # rounding_ensemble names PCG64 so that the kernel can draw its stream;
+    # the runs stay those of default_rng(seed).
+    a = np.random.Generator(np.random.PCG64(seed)).random(1001)
+    assert np.array_equal(a, np.random.default_rng(seed).random(1001))
 
 
 def test_out_of_range_probability_raises_contract_error():
