@@ -141,8 +141,8 @@ def cmd_simulate(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "x_L", "x_U", "x_policy", "f_t_cost", "cum_cost"])
-    for t, lo, hi, x, op, cum in rows:
-        writer.writerow([t, lo, hi, x, _fmt(float(op)), _fmt(float(cum))])
+    # The costs come from .tolist(), so csv writes them with repr, as _fmt does.
+    writer.writerows(rows)
     writer.writerow(["summary", "", "", "", _fmt(float(total)), _fmt(float(ratio))])
     _emit(buf.getvalue(), args.out)
     config_echo = {"command": "simulate", "instance": args.instance,

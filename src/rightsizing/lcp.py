@@ -8,18 +8,21 @@ edge is the smallest minimizer of that cost; the upper edge is the largest
 minimizer after crediting the pending power-up cost ``beta * x``
 (equivalently, the bound obtained by charging power-downs instead).
 
-``lcp_step`` keeps only the slopes of the reach costs, O(log T) per slot
-with no fleet cap, while every slot has a slope form
-(``CostFunction.slope_breakpoints``; ``affine_abs`` for now).  The first
-slot without one turns them into a dense array for good: O(m) per slot.
+``lcp_step`` keeps only the slopes of the reach costs, with no fleet cap,
+while every slot has a slope form (``CostFunction.slope_breakpoints``;
+``affine_abs`` for now): the sorted positions where the slope steps up,
+each with its merged weight.  A new position costs O(L) moves for L live
+positions, and memory is O(L); the walks pop from the ends.  The first
+slot without a slope form turns them into a dense array for good: O(m)
+per slot.
 Costs within ``TIE_TOL * beta`` tie, so no band depends on the cost scale.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from bisect import insort
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +44,7 @@ DEFAULT_STATE_LIMIT = 1 << 20
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LcpDecision:
+class LcpDecision(NamedTuple):
     lower: int
     upper: int
     chosen: int
@@ -51,9 +53,11 @@ class LcpDecision:
 @dataclass
 class LcpState:
     """The reach costs ``V`` as slopes ``d(x) = V(x+1) - V(x)``: ``d(0)`` is
-    ``base``, ``d(m - 1)`` is ``total``, and ``d`` steps up by the weight of
-    each live breakpoint in (0, m), kept in a min-heap and a max-heap with
-    lazy deletion; or, once set, as the dense ``reach_costs``."""
+    ``base``, ``d(m - 1)`` is ``total``, and ``d`` steps up at each live
+    breakpoint: ``keys`` are their distinct positions in (0, m), ascending,
+    and ``weight`` maps each position to its merged step (every step pushed
+    there, summed in push order).  Or, once set, as the dense
+    ``reach_costs``."""
 
     m: int
     beta: float
@@ -62,10 +66,8 @@ class LcpState:
     history: list[LcpDecision] = field(default_factory=list)
     base: float = 0.0
     total: float = 0.0
-    left: list[tuple[int, int]] = field(default_factory=list, repr=False)   # (x, id)
-    right: list[tuple[int, int]] = field(default_factory=list, repr=False)  # (-x, id)
-    weight: dict[int, float] = field(default_factory=dict, repr=False)      # live ids
-    ids: itertools.count = field(default_factory=itertools.count, repr=False)
+    keys: list[int] = field(default_factory=list, repr=False)
+    weight: dict[int, float] = field(default_factory=dict, repr=False)
     reach_costs: np.ndarray | None = field(default=None, repr=False)
     # beta * x, and the same read from x = m down and negated
     ramp: np.ndarray | None = field(default=None, repr=False)
@@ -88,7 +90,7 @@ def lcp_step(state: LcpState, f: CostFunction) -> LcpDecision:
     form = f.slope_breakpoints() if state.reach_costs is None else None
     lower, upper = _dense_band(state, f) if form is None else _slope_band(state, *form)
     state.x_lcp = chosen = min(max(state.x_lcp, lower), upper)
-    decision = LcpDecision(lower=lower, upper=upper, chosen=chosen)
+    decision = LcpDecision(lower, upper, chosen)
     state.history.append(decision)
     return decision
 
@@ -102,8 +104,8 @@ def _dense_band(state: LcpState, f: CostFunction) -> tuple[int, int]:
             raise ConfigError(f"m = {m} exceeds the dense-state limit {DEFAULT_STATE_LIMIT}")
         jumps = np.zeros(m, dtype=np.float64)
         jumps[0] = state.base
-        for x, i in state.left:
-            jumps[x] += state.weight.get(i, 0.0)
+        for x, w in state.weight.items():
+            jumps[x] = w
         state.reach_costs = np.concatenate(([0.0], np.cumsum(np.cumsum(jumps))))
         state.ramp = state.beta * np.arange(m + 1, dtype=np.float64)
         state.mirrored_ramp = -state.ramp[::-1]
@@ -119,30 +121,12 @@ def _dense_band(state: LcpState, f: CostFunction) -> tuple[int, int]:
     return int(lower), int(upper)
 
 
-def _pop_group(heap: list, weight: dict) -> tuple[int, float]:
-    """Pop every breakpoint at the heap's first live key; the key and their
-    summed weight.  Entries whose id left ``weight`` are dead and add 0."""
-    while weight and heap[0][1] not in weight:
-        heapq.heappop(heap)
-    key, w = heap[0][0], 0.0
-    while heap and heap[0][0] == key:
-        w += weight.pop(heapq.heappop(heap)[1], 0.0)
-    return key, w
-
-
-def _push(state: LcpState, x: int, w: float) -> None:
-    i = next(state.ids)
-    state.weight[i] = w
-    heapq.heappush(state.left, (x, i))
-    heapq.heappush(state.right, (-x, i))
-
-
 def _slope_band(state: LcpState, s0: float, points) -> tuple[int, int]:
     """Add the cost's slopes; walk from the left to the lower edge (the first
     ``x`` with ``d(x) >= -tol``), lifting negative slopes to 0, and from the
     right to the upper edge (the first ``x`` with ``d(x) > beta + tol``),
     capping slopes at ``beta``, as the next slot's climb step would."""
-    m, beta, tol, weight = state.m, state.beta, state.tol, state.weight
+    m, beta, tol, keys, weight = state.m, state.beta, state.tol, state.keys, state.weight
     base = state.base + s0
     total = state.total + s0
     for x, w in points:
@@ -151,13 +135,18 @@ def _slope_band(state: LcpState, s0: float, points) -> tuple[int, int]:
         total += w
         if x <= 0:
             base += w
+        elif x in weight:
+            weight[x] += w
         else:
-            _push(state, x, w)
+            weight[x] = w
+            insort(keys, x)
     lower = 0 if base >= -tol else m
     if base < 0.0:
-        s = base
+        s, i = base, 0
         while s < 0.0 and weight:
-            x, w = _pop_group(state.left, weight)
+            x = keys[i]
+            i += 1
+            w = weight.pop(x)
             s = s + w if weight else total
             if lower == m and s >= -tol:
                 lower = x
@@ -165,7 +154,9 @@ def _slope_band(state: LcpState, s0: float, points) -> tuple[int, int]:
         if s < 0.0:
             total = 0.0
         elif s > 0.0:
-            _push(state, x, s)
+            i -= 1  # x stays live with the whole slope s
+            weight[x] = s
+        del keys[:i]
     upper = m
     if total > beta:
         s = total
@@ -175,13 +166,15 @@ def _slope_band(state: LcpState, s0: float, points) -> tuple[int, int]:
                     upper = 0
                 base = beta
                 break
-            key, w = _pop_group(state.right, weight)
+            x = keys.pop()
+            w = weight.pop(x)
             before = s - w if weight else base
             if s > beta + tol:
-                upper = -key
+                upper = x
             if before <= beta:
                 if before < beta:
-                    _push(state, -key, beta - before)
+                    keys.append(x)
+                    weight[x] = beta - before
                 break
             s = before
         total = beta
@@ -193,8 +186,7 @@ def backward_optimal(bounds, T: int | None = None) -> np.ndarray:
     """Offline-optimal schedule reconstructed from the per-step bands:
     walk backwards from the all-asleep end state, clamping into each band.
     """
-    pairs = [(int(d.lower), int(d.upper)) if isinstance(d, LcpDecision) else (int(d[0]), int(d[1]))
-             for d in bounds]
+    pairs = [(int(d[0]), int(d[1])) for d in bounds]
     if T is not None and len(pairs) != T:
         raise ShapeError(f"history has {len(pairs)} steps, expected {T}")
     if not pairs:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,15 +41,6 @@ TOWARD_ZERO = "toward0"
 TOWARD_ONE = "toward1"
 
 _PROB_SLACK = 1e-9
-
-
-class FractionalPolicy(Protocol):
-    """Online policy emitting fractional states in [0, m]."""
-
-    def step(self, f: CostFunction) -> float: ...
-
-    @property
-    def fractional_state(self) -> float: ...
 
 
 # ---------------------------------------------------------------------------

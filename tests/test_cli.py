@@ -391,9 +391,12 @@ def test_bench_lcp_suite(tmp_path):
     text = (tmp_path / "bench_lcp.csv").read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "T,m,lcp_ms,ratio"
-    assert len(lines) == 4
-    for row in lines[1:]:
-        assert float(row.split(",")[3]) <= 3.0 + 1e-9
+    # Every column but the timing is fixed by the seeds, on either kernel path.
+    assert [[row.split(",")[i] for i in (0, 1, 3)] for row in lines[1:]] == [
+        ["1000", "16", "1.2117119321328726"],
+        ["1000", "256", "1.266924624897955"],
+        ["1000", "1024", "1.3819876152699662"],
+    ]
 
 
 def test_bench_random_suite(tmp_path):

@@ -300,3 +300,72 @@ def test_bands_do_not_depend_on_the_cost_scale():
         bands = _bands(lcp_run(inst).decisions)
         assert _bands(lcp_run(big).decisions) == bands
         assert _bands(_twin_decisions(big)) == bands
+
+
+def _check_slope_state(state):
+    keys, weight = state.keys, state.weight
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(0 < x < state.m for x in keys)
+    assert keys == sorted(weight)
+    assert all(np.isfinite(w) and w > 0.0 for w in weight.values())
+
+
+def _shared_position_instance(rng, T, m):
+    # Integer and half-integer centres put several breakpoints on one state.
+    fns = tuple(AffineAbsCost(float(rng.integers(1, 4)) / 2, float(rng.integers(-2, 2 * m + 3)) / 2)
+                for _ in range(T))
+    return ProblemInstance(T, m, float(rng.integers(1, 9)) / 2, fns)
+
+
+def test_slope_state_invariants_after_every_step():
+    rng = np.random.default_rng(28)
+    for i in range(120):
+        T, m = int(rng.integers(1, 60)), int(rng.integers(1, 40))
+        if i % 2:
+            inst = _shared_position_instance(rng, T, m)
+        else:
+            inst = random_affine_instance(rng, T, m)
+        state = lcp_init(m, inst.beta)
+        for f in inst.functions:
+            lcp_step(state, f)
+            _check_slope_state(state)
+
+
+def test_merged_weights_match_dense_on_shared_positions():
+    rng = np.random.default_rng(29)
+    for _ in range(150):
+        T, m = int(rng.integers(1, 60)), int(rng.integers(1, 24))
+        inst = _shared_position_instance(rng, T, m)
+        assert lcp_run(inst).decisions == _twin_decisions(inst)
+
+
+def test_bands_match_dense_with_thousands_of_live_breakpoints():
+    # eps far below beta: the climb step caps almost no slope, so nearly
+    # every breakpoint stays live.
+    rng = np.random.default_rng(30)
+    T, m = 3000, 4096
+    fns = tuple(AffineAbsCost(float(e), float(c))
+                for e, c in zip(rng.uniform(1e-3, 2e-3, T), rng.uniform(0, m, T)))
+    inst = ProblemInstance(T, m, 4.0, fns)
+    state = lcp_init(m, inst.beta)
+    decisions, most = [], 0
+    for f in fns:
+        decisions.append(lcp_step(state, f))
+        most = max(most, len(state.keys))
+    assert most > 1000
+    _check_slope_state(state)
+    assert decisions == _twin_decisions(inst)
+
+
+def test_state_turns_dense_after_shared_positions():
+    # A table slot mid-run builds the dense reach costs from the merged
+    # weights; the bands and moves then match the all-table run.
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        T, m = int(rng.integers(3, 50)), int(rng.integers(1, 24))
+        inst = _shared_position_instance(rng, T, m)
+        t = int(rng.integers(1, T))
+        fns = list(inst.functions)
+        fns[t] = _table_twin(fns[t], m)
+        inst = inst.replace(functions=tuple(fns))
+        assert lcp_run(inst).decisions == _twin_decisions(inst)
