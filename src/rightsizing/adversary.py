@@ -56,11 +56,25 @@ def pull_cost(label: str, eps: float) -> AffineAbsCost:
     raise ConfigError(f"unknown workload label {label!r}")
 
 
-def adv_discrete_step(alg_state: int, eps: float) -> CostFunction:
-    """Binary-state rule: always charge the level the policy occupies."""
+def _discrete_label(alg_state: int) -> str:
     if alg_state not in (0, 1):
         raise ConfigError("the discrete adversary expects a binary state")
-    return pull_cost(TOWARD_ONE if alg_state == 0 else TOWARD_ZERO, eps)
+    return TOWARD_ONE if alg_state == 0 else TOWARD_ZERO
+
+
+def adv_discrete_step(alg_state: int, eps: float) -> CostFunction:
+    """Binary-state rule: always charge the level the policy occupies."""
+    return pull_cost(_discrete_label(alg_state), eps)
+
+
+def _continuous_label(a_t: float, b_t: float) -> str:
+    if not (0.0 <= a_t <= 1.0) or not (0.0 <= b_t <= 1.0):
+        raise ConfigError("states must lie in [0, 1]")
+    if a_t >= 1.0 - _BOUNDARY_TOL:
+        return TOWARD_ZERO
+    if a_t <= _BOUNDARY_TOL:
+        return TOWARD_ONE
+    return TOWARD_ZERO if a_t > b_t else TOWARD_ONE
 
 
 def adv_continuous_step(a_t: float, b_t: float, eps: float) -> CostFunction:
@@ -69,15 +83,7 @@ def adv_continuous_step(a_t: float, b_t: float, eps: float) -> CostFunction:
     Boundary states override the comparison; on the comparison itself a
     tie counts as "not above the reference" and pulls up.
     """
-    if not (0.0 <= a_t <= 1.0) or not (0.0 <= b_t <= 1.0):
-        raise ConfigError("states must lie in [0, 1]")
-    if a_t >= 1.0 - _BOUNDARY_TOL:
-        return pull_cost(TOWARD_ZERO, eps)
-    if a_t <= _BOUNDARY_TOL:
-        return pull_cost(TOWARD_ONE, eps)
-    if a_t > b_t:
-        return pull_cost(TOWARD_ZERO, eps)
-    return pull_cost(TOWARD_ONE, eps)
+    return pull_cost(_continuous_label(a_t, b_t), eps)
 
 
 def build_restricted(labels: Sequence[str], variant: str, eps: float,
@@ -256,10 +262,6 @@ def _duel_moves(states: Sequence[float], *, close: bool = False) -> tuple[np.nda
                                  float(moves.sum()))
 
 
-def _label(f: AffineAbsCost) -> str:
-    return TOWARD_ONE if f.center == 1.0 else TOWARD_ZERO
-
-
 def _pull_costs(eps: float) -> dict[str, CostFunction]:
     return {lab: pull_cost(lab, eps) for lab in (TOWARD_ZERO, TOWARD_ONE)}
 
@@ -270,7 +272,7 @@ def _reference_pick(eps: float):
     ref = AlgorithmBState(eps)
 
     def pick(a: float) -> str:
-        lab = _label(adv_continuous_step(a, ref.b, eps))
+        lab = _continuous_label(a, ref.b)
         algorithm_b_step(ref, lab)
         return lab
 
@@ -371,8 +373,7 @@ def _embedding(play: _Play, eps: float, shift: int, general: DuelReport) -> dict
 def _duel_discrete(policy, config: AdversaryConfig) -> DuelReport:
     eps = config.eps
     policy = _resolve_policy(policy, "discrete", eps)
-    play = _play(policy, lambda x: _label(adv_discrete_step(x, eps)),
-                 _pull_costs(eps), config.T, cast=int)
+    play = _play(policy, _discrete_label, _pull_costs(eps), config.T, cast=int)
     score = _score_closed(play, 1)
     up_only = eval_cost(score["instance"].replace(convention="up_only"), play.states).total
     bound = min(config.T * eps / 2.0 + 2.0, score["switch_count"] + 2.0)

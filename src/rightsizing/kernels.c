@@ -10,7 +10,9 @@
  * must round as the numpy twin's does, so both give the same schedules,
  * ties included.  min/argmin follow numpy: the first minimum wins.  The
  * DPs' operating costs hold no NaN and no -inf (offline._kernel_costs sees
- * to that) and beta is finite, so no DP sum is NaN.
+ * to that) and beta is finite, so no DP sum is NaN.  The rounding ensemble
+ * draws numpy's PCG64 stream itself and compares its draws as integers; it
+ * jumps the stream over the draws of slots whose moves are fixed.
  */
 #include <math.h>
 #include <stdint.h>
@@ -143,50 +145,73 @@ int grid_forward(int64_t B, int64_t n, const double *F, const double *H,
     return first_finite;
 }
 
-/* numpy's PCG64 (O'Neill's PCG XSL-RR 128/64) and its Generator.random():
- * the 128-bit LCG step, the XSL-RR output of the new state, and the top 53
- * bits scaled to [0, 1), so the kernel draws numpy's stream bit for bit. */
+/* numpy's PCG64 (O'Neill's PCG XSL-RR 128/64): the 128-bit LCG step, then
+ * the XSL-RR output of the new state shifted to its top 53 bits, the
+ * integer k that Generator.random() returns as k * 2^-53.  The kernel
+ * draws numpy's stream bit for bit. */
 typedef unsigned __int128 u128;
 
-static inline double pcg64_random(u128 *state, u128 inc)
+static const u128 PCG64_MULT = (u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
+
+static inline uint64_t pcg64_random(u128 *state, u128 inc)
 {
-    const u128 mult = (u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
-    *state = *state * mult + inc;
+    *state = *state * PCG64_MULT + inc;
     const uint64_t v = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
     const unsigned rot = (unsigned)(*state >> 122);
-    return (double)((v >> rot | v << ((64 - rot) & 63)) >> 11) * (1.0 / 9007199254740992.0);
+    return (v >> rot | v << ((64 - rot) & 63)) >> 11;
 }
 
-/* Advances n rounding runs over T slots, drawing one uniform per run and
- * slot, slot by slot, from the PCG64 generator whose state and increment
- * are pcg = {state >> 64, state & (2^64 - 1), inc >> 64, inc & (2^64 - 1)}.
- * Slot s has floor S[s, 0], ceiling S[s, 1], move probability p[s] and
- * direction dir[s] (1 up, -1 down, 0 when the fractional state is
- * integral), with operating costs F[s, 0] on the floor and F[s, 1] on the
- * ceiling.  Each run's state x, operating cost, and up and down moves are
- * updated in slot order, and upper[s] gets the number of runs above the
- * floor. */
-void ensemble(int64_t T, int64_t n, const int64_t *S, const double *p, const int8_t *dir,
+/* Advances n rounding runs over T slots, slot by slot, on the stream of the
+ * PCG64 generator whose state and increment are
+ * pcg = {state >> 64, state & (2^64 - 1), inc >> 64, inc & (2^64 - 1)},
+ * n draws per slot, one per run.  Slot s has floor S[s, 0], ceiling
+ * S[s, 1], direction dir[s] (1 up, -1 down, 0 when the fractional state is
+ * integral) and threshold thr[s] = ceil(p * 2^53) for its move probability
+ * p: a draw k * 2^-53 is below p exactly when k < thr[s].  Its operating
+ * costs are F[s, 0] on the floor and F[s, 1] on the ceiling.  Each run's
+ * state x, operating cost and power-ups are updated in slot order, and
+ * upper[s] gets the number of runs above the floor.  An integral slot sends
+ * every run to its floor and jumps the state over its n draws unread with
+ * the n-step LCG map state -> a * state + c, composed once by squaring as
+ * numpy's PCG64.advance does. */
+void ensemble(int64_t T, int64_t n, const int64_t *S, const uint64_t *thr, const int8_t *dir,
               const double *F, const uint64_t *pcg, int64_t *x, double *operating,
-              int64_t *ups, int64_t *downs, double *upper)
+              int64_t *ups, double *upper)
 {
     u128 state = (u128)pcg[0] << 64 | pcg[1];
     const u128 inc = (u128)pcg[2] << 64 | pcg[3];
+    u128 a = 1, c = 0, mult = PCG64_MULT, plus = inc;
+    for (uint64_t d = (uint64_t)n; d; d >>= 1) {
+        if (d & 1) {
+            a *= mult;
+            c = c * mult + plus;
+        }
+        plus *= mult + 1;
+        mult *= mult;
+    }
     for (int64_t s = 0; s < T; s++) {
         const int64_t l = S[2 * s], h = S[2 * s + 1];
+        const double f_lo = F[2 * s], f_hi = F[2 * s + 1];
+        if (dir[s] == 0) {
+            state = a * state + c;
+            for (int64_t r = 0; r < n; r++) {
+                ups[r] += l > x[r] ? l - x[r] : 0;
+                operating[r] += f_lo;
+                x[r] = l;
+            }
+            upper[s] = 0.0;
+            continue;
+        }
         /* A run moves to `to` when it is there already or its draw falls
-         * below the probability, else to `from`; an integral slot sends
-         * every run to its floor, and still takes its draws. */
+         * below the threshold, else to `from`. */
         const int64_t to = dir[s] < 0 ? l : h, from = dir[s] < 0 ? h : l;
-        const int integral = dir[s] == 0;
-        const double ps = p[s], f_lo = F[2 * s], f_hi = F[2 * s + 1];
+        const uint64_t th = thr[s];
         int64_t above = 0;
         for (int64_t r = 0; r < n; r++) {
-            const double u = pcg64_random(&state, inc);
-            const int64_t xr = x[r], next = integral || xr == to || u < ps ? to : from;
+            const uint64_t k = pcg64_random(&state, inc);
+            const int64_t xr = x[r], next = xr == to || k < th ? to : from;
             operating[r] += next == h ? f_hi : f_lo;
             ups[r] += next > xr ? next - xr : 0;
-            downs[r] += next < xr ? xr - next : 0;
             above += next > l;
             x[r] = next;
         }

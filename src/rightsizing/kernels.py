@@ -24,7 +24,7 @@ _SIGNATURES = {
                   ctypes.c_int),
     "grid_backward": ([_I64, _I64, _PTR, _PTR, _PTR, _PTR], None),
     "grid_forward": ([_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _I64, _PTR], ctypes.c_int),
-    "ensemble": ([_I64, _I64, *[_PTR] * 10], None),
+    "ensemble": ([_I64, _I64, *[_PTR] * 9], None),
 }
 
 

@@ -8,8 +8,9 @@ both expected operating cost and expected switching cost exactly.
 
 An ensemble of runs advances over every slot in one call of a C kernel
 (``kernels.c``, compiled on first use by ``kernels.load``, never at
-import) that draws numpy's ``PCG64`` stream itself; its numpy twin gives
-the same results bit for bit where no C compiler works.
+import) that draws numpy's ``PCG64`` stream itself and jumps it over the
+draws of integral slots, which send every run to the floor; its numpy twin
+gives the same results bit for bit where no C compiler works.
 """
 
 from __future__ import annotations
@@ -171,8 +172,10 @@ def _advance(x_prev: np.ndarray, lo: int, hi: int, p: float, direction: int,
              u: np.ndarray) -> np.ndarray:
     """Vectorized one-slot transition for many independent runs.
 
-    ``u`` holds one uniform draw per run; it is ignored on slots where the
-    transition is deterministic.  A run already at the target stays there.
+    ``u`` holds one draw per run, and a run moves when its draw is below
+    ``p``: uniforms against the move probability, or 53-bit integers against
+    its threshold.  ``u`` is ignored on slots where the transition is
+    deterministic.  A run already at the target stays there.
     """
     if direction == 0:
         return np.full_like(x_prev, lo)
@@ -244,9 +247,11 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     """Many independent rounding runs of one fractional schedule at once.
 
     All runs share the per-slot transition probabilities, so the whole
-    ensemble advances in one kernel call, on one uniform draw per run and
-    slot taken slot by slot from ``PCG64(seed)``; used for marginal and
-    expected-cost estimates.
+    ensemble advances in one kernel call on the stream of ``PCG64(seed)``,
+    one draw per run and slot, slot by slot; an integral slot moves every
+    run to its floor and jumps the stream over its draws unread.  Each run
+    starts and closes at 0, so it powers down as much as it powers up.
+    Used for marginal and expected-cost estimates.
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be positive")
@@ -257,17 +262,17 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
         raise DomainError("fractional state outside [0, m]")
     S = np.stack([np.floor(arr), np.ceil(arr)], axis=1).astype(np.int64)
     F = np.ascontiguousarray(row_evaluator(instance.functions)(S), dtype=np.float64)
-    # Every probability is checked before the first draw.
+    # Every probability is checked before the first draw.  A draw k * 2^-53
+    # is below p exactly when k < ceil(p * 2^53), which the scaling keeps exact.
     p, direction = _transitions(arr)
+    thr = np.ceil(p * 2.0**53).astype(np.uint64)
     rng = np.random.Generator(np.random.PCG64(seed))  # the stream of default_rng(seed)
     x = np.zeros(n_runs, dtype=np.int64)
     operating = np.zeros(n_runs, dtype=np.float64)
     ups = np.zeros(n_runs, dtype=np.int64)
-    downs = np.zeros(n_runs, dtype=np.int64)
     upper = np.empty(instance.T, dtype=np.float64)  # runs above the floor, then their share
-    _ensemble(rng, S, p, direction, F, x, operating, ups, downs, upper)
-    downs += x  # closing power-down to the all-asleep end state
-    switching = switching_cost(instance.beta, instance.convention, ups, ups + downs)
+    _ensemble(rng, S, thr, direction, F, x, operating, ups, upper)
+    switching = switching_cost(instance.beta, instance.convention, ups, 2 * ups)
     # Estimates marginal_upper: 0 on integral slots, where hi == lo.
     upper /= n_runs
     return EnsembleResult(costs=operating + switching, upper_frequency=upper, seed=seed)
@@ -275,42 +280,55 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
 
 def _transitions(xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per slot, the move probability and direction of ``_transition``,
-    starting from 0 before the first slot."""
-    p = np.empty(xbar.size, dtype=np.float64)
-    direction = np.empty(xbar.size, dtype=np.int8)
-    prev = 0.0
-    for t in range(xbar.size):
-        cur = float(xbar[t])
-        _, _, p[t], direction[t] = _transition(prev, cur)
-        prev = cur
-    return p, direction
+    starting from 0 before the first slot, in whole-array operations that
+    round as its scalar ones do."""
+    lo, hi = np.floor(xbar), np.ceil(xbar)
+    prev = np.concatenate(([0.0], xbar))[:-1]
+    proj = np.minimum(np.maximum(prev, lo), hi)
+    frac_proj = proj - np.floor(proj)
+    up = prev <= xbar
+    # No denominator is 0: below the ceiling frac_proj < 1, and on an
+    # integral slot the projection is integral.
+    den = np.where(up, 1.0 - frac_proj, np.where(frac_proj > 0.0, frac_proj, 1.0))
+    integral = lo == hi
+    p = np.where(integral, 0.0, np.where(up, xbar - proj, proj - xbar) / den)
+    bad = np.flatnonzero((p < -_PROB_SLACK) | (p > 1.0 + _PROB_SLACK))
+    if bad.size:
+        raise ContractError(f"slot {bad[0]}: transition probability {p[bad[0]]} outside [0, 1]")
+    direction = np.where(integral, 0, np.where(up, 1, -1)).astype(np.int8)
+    return np.clip(p, 0.0, 1.0), direction
 
 
-def _ensemble(rng, S, p, direction, F, x, operating, ups, downs, upper):
-    """Advances the runs over every slot, drawing ``rng.random(len(x))`` per
-    slot: the state ``x``, the operating cost and the up and down moves of
-    each run, and per slot ``upper``, the number of runs above the floor
-    ``S[t, 0]``.  Every array is C-ordered with the dtype
+def _ensemble(rng, S, thr, direction, F, x, operating, ups, upper):
+    """Advances the runs over every slot on ``len(x)`` draws of ``rng`` per
+    slot: the state ``x``, the operating cost and the power-ups of each run,
+    and per slot ``upper``, the number of runs above the floor ``S[t, 0]``.
+    A run's draw ``k * 2^-53`` is below the slot's move probability when
+    ``k < thr[t]``.  Every array is C-ordered with the dtype
     ``rounding_ensemble`` gives it.  Runs the compiled kernel, which draws
     the ``PCG64`` stream from ``rng``'s state without advancing ``rng``,
     when there is one, else the numpy twin."""
     lib = kernels.load()
     if lib is None:
-        return _ensemble_numpy(rng, S, p, direction, F, x, operating, ups, downs, upper)
+        return _ensemble_numpy(rng, S, thr, direction, F, x, operating, ups, upper)
     pcg = rng.bit_generator.state["state"]
     words = np.array(divmod(pcg["state"], 1 << 64) + divmod(pcg["inc"], 1 << 64),
                      dtype=np.uint64)
     lib.ensemble(S.shape[0], x.size,
-                 *(a.ctypes.data for a in (S, p, direction, F, words, x, operating,
-                                           ups, downs, upper)))
+                 *(a.ctypes.data for a in (S, thr, direction, F, words, x, operating,
+                                           ups, upper)))
 
 
-def _ensemble_numpy(rng, S, p, direction, F, x, operating, ups, downs, upper):
+def _ensemble_numpy(rng, S, thr, direction, F, x, operating, ups, upper):
+    bits = rng.bit_generator
     for t, (lo, hi) in enumerate(S):
-        x_new = _advance(x, lo, hi, p[t], direction[t], rng.random(x.size))
+        if direction[t] == 0:
+            bits.advance(x.size)
+            k = None
+        else:
+            k = bits.random_raw(x.size) >> np.uint64(11)
+        x_new = _advance(x, lo, hi, thr[t], direction[t], k)
         operating += np.where(x_new == hi, F[t, 1], F[t, 0])
-        d = x_new - x
-        ups += np.maximum(d, 0)
-        downs += np.maximum(-d, 0)
+        ups += np.maximum(x_new - x, 0)
         upper[t] = np.count_nonzero(x_new > lo)
         x[:] = x_new

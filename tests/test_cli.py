@@ -464,6 +464,10 @@ GOLDEN_ADVERSARY = {
     "randomized-random-round": ["--variant", "randomized", "--policy",
                                 "random-round", "--eps", "0.25", "--T", "24",
                                 "--runs", "64", "--seed", "3"],
+    # eps = 0.1 is not dyadic, so the probabilities round.
+    "randomized-random-round-nondyadic": ["--variant", "randomized", "--policy",
+                                          "random-round", "--eps", "0.1", "--T", "300",
+                                          "--runs", "257", "--seed", "4"],
     "restricted-lcp": ["--variant", "restricted", "--policy", "lcp",
                        "--eps", "0.25", "--T", "24"],
     "restricted-algorithm-b": ["--variant", "restricted", "--policy",
@@ -484,6 +488,7 @@ GOLDEN_DIGESTS = {
     "adversary-discrete-lcp": "89f9edbf28ab4831",
     "adversary-continuous-algorithm-b": "23e5f62561444149",
     "adversary-randomized-random-round": "dbffdad7e84d1660",
+    "adversary-randomized-random-round-nondyadic": "aee1dafa01a19f0d",
     "adversary-restricted-lcp": "a86d2541af246c43",
     "adversary-restricted-algorithm-b": "f00a2d080e63e46b",
     "adversary-restricted-lcp-dump": "6100e2c0aad229a7",

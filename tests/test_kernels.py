@@ -209,7 +209,7 @@ def _ensemble_reference(xbar, instance, n_runs, seed):
 
 def _random_walk(rng, T, m):
     # clipping to the fleet's ends and rounding every fourth slot give
-    # integral slots, whose moves are deterministic but still take draws
+    # integral slots, whose draws the kernels skip and the reference reads
     walk = np.clip(np.cumsum(rng.uniform(-1.6, 1.6, T)) + m / 2, 0.0, m)
     walk[::4] = np.round(walk[::4])
     return walk
@@ -262,6 +262,44 @@ def test_ensemble_kernel_matches_per_slot_reference_for_each_seed(paths, seed):
                                        random_affine_instance(rng, T, m), n_runs, seed)
     _assert_ensemble_matches_reference(paths, _half_walk(T), random_affine_instance(rng, T, 1),
                                        2 * n_runs + 1, seed)
+
+
+def _integral_stretch_cases():
+    rng = np.random.default_rng(44)
+    # Every move of the half walk has probability 0.5, so a stream left out
+    # of step by the 60 integral slots between its halves flips about half
+    # the runs' later decisions.
+    on_off = rng.integers(0, 2, 60).astype(np.float64)
+    half = np.concatenate((_half_walk(30), on_off, _half_walk(40)))
+    # On three servers the integral slots also power runs up and down by
+    # more than one; the walk ends on an integral stretch, and the symmetric
+    # convention charges the power-downs, closing one included.
+    walk = _random_walk(rng, 200, 3)
+    walk[30:90] = np.round(walk[30:90])
+    walk[140:] = np.round(walk[140:])
+    return [(half, random_affine_instance(rng, half.size, 1)),
+            (walk, random_affine_instance(rng, walk.size, 3).replace(convention="symmetric"))]
+
+
+@pytest.mark.parametrize("n_runs", [1, 2, 4097])
+@pytest.mark.parametrize("case", range(2))
+def test_ensemble_jumps_the_stream_over_integral_stretches(paths, case, n_runs):
+    xbar, instance = _integral_stretch_cases()[case]
+    assert randomized._transitions(xbar)[1][30:90].tolist() == [0] * 60
+    _assert_ensemble_matches_reference(paths, xbar, instance, n_runs, seed=23)
+
+
+def test_ensemble_draw_equal_to_the_probability_does_not_move(paths):
+    # Slot 0 moves up from 0 with probability xbar, and run r moves when its
+    # draw u_r is below it: at xbar = u_3 run 3 stays idle, one float above
+    # it run 3 moves.  An idle run costs 0, a moved one 1 + beta.
+    seed, n_runs = 5, 8
+    u3 = np.random.default_rng(seed).random(n_runs)[3]
+    instance = ProblemInstance(1, 1, 1.0, (TableCost([0.0, 1.0]),))
+    for xbar, moved in (([u3], False), ([np.nextafter(u3, 1.0)], True)):
+        costs, _ = _ensemble_reference(xbar, instance, n_runs, seed)
+        assert costs[3] == (2.0 if moved else 0.0)
+        _assert_ensemble_matches_reference(paths, xbar, instance, n_runs, seed)
 
 
 def test_ensemble_cases_cover_each_move():

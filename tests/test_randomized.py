@@ -21,6 +21,7 @@ from rightsizing import (
     eval_cost,
     extend_continuous,
     marginal_upper,
+    randomized,
     round_step,
     rounding_ensemble,
     rounding_run,
@@ -202,6 +203,52 @@ def test_ensemble_marginals_with_large_jumps():
     assert np.all(np.abs(ens.upper_frequency - frac) <= 3 * sigma + 1e-12)
     target = extend_continuous(inst).cost(walk).total
     assert ens.costs.mean() == pytest.approx(target, rel=0.01)
+
+
+def _scalar_transitions(xbar):
+    """The per-slot loop over ``_transition`` that ``_transitions`` replaced."""
+    p = np.empty(xbar.size)
+    direction = np.empty(xbar.size, dtype=np.int8)
+    prev = 0.0
+    for t, cur in enumerate(xbar.tolist()):
+        _, _, p[t], direction[t] = randomized._transition(prev, cur)
+        prev = cur
+    return p, direction
+
+
+def _transition_walk(rng, i):
+    T, m = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+    step = (0.3, 1.6, 5.0)[i % 3]  # the widest jumps cross several integers
+    walk = np.clip(np.cumsum(rng.uniform(-step, step, T)) + m / 2, 0.0, m)
+    kind = rng.integers(0, 5, T)
+    walk = np.where(kind == 0, np.round(walk), walk)
+    walk = np.where(kind == 1, np.round(walk * 8) / 8, walk)
+    walk = np.where(kind == 2, np.nextafter(np.round(walk), walk), walk)
+    for t in np.flatnonzero(kind[1:] == 3) + 1:
+        walk[t] = walk[t - 1]
+    return walk
+
+
+def test_transitions_match_the_scalar_transition_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for i in range(1000):
+        xbar = _transition_walk(rng, i)
+        p, direction = randomized._transitions(xbar)
+        ref_p, ref_direction = _scalar_transitions(xbar)
+        assert np.array_equal(p.view(np.uint64), ref_p.view(np.uint64))
+        assert np.array_equal(direction, ref_direction)
+
+
+def test_transitions_name_the_first_slot_past_the_slack(monkeypatch):
+    # No schedule in [0, m] takes a probability past the slack by more than
+    # rounding, so a negative slack stands in for one: only probabilities in
+    # [0.3, 0.7] pass.  Slots 0 and 1 move up with 0.5, slot 2 down with 11/12.
+    monkeypatch.setattr(randomized, "_PROB_SLACK", -0.3)
+    xbar = np.array([0.5, 0.75, 0.0625, 0.5])
+    with pytest.raises(ContractError, match="slot 2"):
+        randomized._transitions(xbar)
+    with pytest.raises(ContractError):
+        _scalar_transitions(xbar)
 
 
 def test_replay_policy_feeds_schedule_through():
