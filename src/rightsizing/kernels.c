@@ -12,7 +12,8 @@
  * DPs' operating costs hold no NaN and no -inf (offline._kernel_costs sees
  * to that) and beta is finite, so no DP sum is NaN.  The rounding ensemble
  * draws numpy's PCG64 stream itself and compares its draws as integers; it
- * jumps the stream over the draws of slots whose moves are fixed.
+ * jumps the stream over the draws of slots whose moves are fixed and over
+ * those of the runs outside the range a call advances.
  */
 #include <math.h>
 #include <stdint.h>
@@ -161,60 +162,88 @@ static inline uint64_t pcg64_random(u128 *state, u128 inc)
     return (v >> rot | v << ((64 - rot) & 63)) >> 11;
 }
 
-/* Advances n rounding runs over T slots, slot by slot, on the stream of the
- * PCG64 generator whose state and increment are
- * pcg = {state >> 64, state & (2^64 - 1), inc >> 64, inc & (2^64 - 1)},
- * n draws per slot, one per run.  Slot s has floor S[s, 0], ceiling
- * S[s, 1], direction dir[s] (1 up, -1 down, 0 when the fractional state is
- * integral) and threshold thr[s] = ceil(p * 2^53) for its move probability
- * p: a draw k * 2^-53 is below p exactly when k < thr[s].  Its operating
- * costs are F[s, 0] on the floor and F[s, 1] on the ceiling.  Each run's
- * state x, operating cost and power-ups are updated in slot order, and
- * upper[s] gets the number of runs above the floor.  An integral slot sends
- * every run to its floor and jumps the state over its n draws unread with
- * the n-step LCG map state -> a * state + c, composed once by squaring as
- * numpy's PCG64.advance does. */
-void ensemble(int64_t T, int64_t n, const int64_t *S, const uint64_t *thr, const int8_t *dir,
-              const double *F, const uint64_t *pcg, int64_t *x, double *operating,
-              int64_t *ups, double *upper)
+/* The d-step LCG map state -> a * state + c of the PCG64 generator with
+ * increment inc, composed by square and multiply as numpy's
+ * PCG64.advance does: one multiply-add then jumps the state over d draws. */
+typedef struct {
+    u128 a, c;
+} lcg_jump;
+
+static lcg_jump pcg64_jump(uint64_t d, u128 inc)
 {
-    u128 state = (u128)pcg[0] << 64 | pcg[1];
-    const u128 inc = (u128)pcg[2] << 64 | pcg[3];
-    u128 a = 1, c = 0, mult = PCG64_MULT, plus = inc;
-    for (uint64_t d = (uint64_t)n; d; d >>= 1) {
+    lcg_jump j = {1, 0};
+    u128 mult = PCG64_MULT, plus = inc;
+    for (; d; d >>= 1) {
         if (d & 1) {
-            a *= mult;
-            c = c * mult + plus;
+            j.a *= mult;
+            j.c = j.c * mult + plus;
         }
         plus *= mult + 1;
         mult *= mult;
     }
+    return j;
+}
+
+/* Kept out of line so that the maps stay in memory: inlined, they take the
+ * registers that the draw loop of ensemble needs for the stream state, and
+ * GCC then keeps the state on the stack, which made every draw slower. */
+static __attribute__((noinline)) u128 jump(const lcg_jump *j, u128 state)
+{
+    return j->a * state + j->c;
+}
+
+/* Advances runs r0 <= r < r1 of n rounding runs over T slots, slot by
+ * slot, on the stream of the PCG64 generator whose state and increment are
+ * pcg = {state >> 64, state & (2^64 - 1), inc >> 64, inc & (2^64 - 1)},
+ * n draws per slot, one per run, run r's draw at position r of its slot.
+ * Slot s has floor S[s, 0], ceiling S[s, 1], direction dir[s] (1 up, -1
+ * down, 0 when the fractional state is integral) and threshold
+ * thr[s] = ceil(p * 2^53) for its move probability p: a draw k * 2^-53 is
+ * below p exactly when k < thr[s].  Its operating costs are F[s, 0] on the
+ * floor and F[s, 1] on the ceiling.  Each run's state x[r], operating cost
+ * and power-ups are updated in slot order, and the number of the range's
+ * runs above the floor is added to above[s].  A slot with moves jumps the
+ * state over the r0 draws before the range, draws the range's r1 - r0 and
+ * jumps over the n - r1 after it; an integral slot sends every run to its
+ * floor and jumps over all n draws unread.  Disjoint ranges may run at
+ * once, each with an above of its own, and every run ends as it does in a
+ * single call over [0, n): how the runs are split does not change any
+ * result. */
+void ensemble(int64_t T, int64_t n, int64_t r0, int64_t r1, const int64_t *S,
+              const uint64_t *thr, const int8_t *dir, const double *F, const uint64_t *pcg,
+              int64_t *x, double *operating, int64_t *ups, int64_t *above)
+{
+    u128 state = (u128)pcg[0] << 64 | pcg[1];
+    const u128 inc = (u128)pcg[2] << 64 | pcg[3];
+    const lcg_jump all = pcg64_jump((uint64_t)n, inc), before = pcg64_jump((uint64_t)r0, inc),
+                   after = pcg64_jump((uint64_t)(n - r1), inc);
     for (int64_t s = 0; s < T; s++) {
         const int64_t l = S[2 * s], h = S[2 * s + 1];
         const double f_lo = F[2 * s], f_hi = F[2 * s + 1];
         if (dir[s] == 0) {
-            state = a * state + c;
-            for (int64_t r = 0; r < n; r++) {
+            state = jump(&all, state);
+            for (int64_t r = r0; r < r1; r++) {
                 ups[r] += l > x[r] ? l - x[r] : 0;
                 operating[r] += f_lo;
                 x[r] = l;
             }
-            upper[s] = 0.0;
             continue;
         }
         /* A run moves to `to` when it is there already or its draw falls
          * below the threshold, else to `from`. */
         const int64_t to = dir[s] < 0 ? l : h, from = dir[s] < 0 ? h : l;
         const uint64_t th = thr[s];
-        int64_t above = 0;
-        for (int64_t r = 0; r < n; r++) {
+        int64_t count = 0;
+        state = jump(&before, state);
+        for (int64_t r = r0; r < r1; r++) {
             const uint64_t k = pcg64_random(&state, inc);
             const int64_t xr = x[r], next = xr == to || k < th ? to : from;
             operating[r] += next == h ? f_hi : f_lo;
             ups[r] += next > xr ? next - xr : 0;
-            above += next > l;
+            count += next > l;
             x[r] = next;
         }
-        upper[s] = (double)above;
+        state = jump(&after, state);
+        above[s] += count;
     }
 }

@@ -2,7 +2,9 @@
 
 The source is built with the system ``cc`` on the first call of ``load``,
 never at import, into the package's ``__pycache__`` under a name keyed by
-the source hash, and reused from there. Every kernel has a numpy twin in
+the source hash, and reused from there. One build runs at a time, under a
+lock, into a temporary file of its own, so threads that call ``load`` for
+the first time at once share one build. Every kernel has a numpy twin in
 the module that calls it, which runs when ``load`` returns None and which
 the tests hold the compiled kernel to, bit for bit.
 """
@@ -14,6 +16,8 @@ import functools
 import hashlib
 import os
 import subprocess
+import tempfile
+import threading
 from pathlib import Path
 
 _I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
@@ -24,8 +28,10 @@ _SIGNATURES = {
                   ctypes.c_int),
     "grid_backward": ([_I64, _I64, _PTR, _PTR, _PTR, _PTR], None),
     "grid_forward": ([_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _I64, _PTR], ctypes.c_int),
-    "ensemble": ([_I64, _I64, *[_PTR] * 9], None),
+    "ensemble": ([_I64, _I64, _I64, _I64, *[_PTR] * 9], None),
 }
+
+_build_lock = threading.Lock()
 
 
 @functools.cache
@@ -36,12 +42,21 @@ def load() -> ctypes.CDLL | None:
     try:
         tag = hashlib.sha256(src.read_bytes()).hexdigest()[:16]
         path = src.parent / "__pycache__" / f"kernels-{tag}.so"
-        if not path.exists():
-            path.parent.mkdir(exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            subprocess.run(["cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC",
-                            "-o", str(tmp), str(src)], check=True, capture_output=True)
-            os.replace(tmp, path)
+        with _build_lock:
+            if not path.exists():
+                path.parent.mkdir(exist_ok=True)
+                # A name of its own per build, so processes that build at
+                # once never write one file; the rename is atomic.
+                fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp",
+                                           dir=path.parent)
+                os.close(fd)
+                try:
+                    subprocess.run(["cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+                                    "-o", tmp, str(src)], check=True, capture_output=True)
+                    os.replace(tmp, path)
+                finally:
+                    if os.path.exists(tmp):
+                        os.unlink(tmp)
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError):
         return None

@@ -6,16 +6,23 @@ fractional state, choosing transition probabilities so that the chance of
 sitting on the ceiling always equals the fractional part.  This preserves
 both expected operating cost and expected switching cost exactly.
 
-An ensemble of runs advances over every slot in one call of a C kernel
+An ensemble of runs advances over every slot in calls of a C kernel
 (``kernels.c``, compiled on first use by ``kernels.load``, never at
 import) that draws numpy's ``PCG64`` stream itself and jumps it over the
-draws of integral slots, which send every run to the floor; its numpy twin
-gives the same results bit for bit where no C compiler works.
+draws of integral slots, which send every run to the floor.  A large
+ensemble splits its runs into contiguous ranges, each one kernel call that
+jumps the stream over the other ranges' draws, and advances them on one
+thread per core in the process's affinity mask; every result is the same
+bit for bit whatever the number of cores.  The kernel's numpy twin, which
+takes the same ranges, gives the same results where no C compiler works.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +49,11 @@ TOWARD_ZERO = "toward0"
 TOWARD_ONE = "toward1"
 
 _PROB_SLACK = 1e-9
+
+#: Stream positions (runs times slots) per run range of a rounding ensemble
+#: split across cores, about 5 ms of kernel time.  An ensemble with fewer
+#: than twice as many stays in one range on the calling thread.
+_DRAWS_PER_PART = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +224,8 @@ def rounding_run(source, instance: ProblemInstance, seed: int) -> RoundingResult
     fractional schedule's cost under the continuous relaxation so callers
     can report ratios.
     """
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     if not hasattr(source, "step"):
         if len(source) != instance.T:
             raise ShapeError(f"fractional schedule length {len(source)} != T = {instance.T}")
@@ -246,15 +260,21 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
                       n_runs: int, seed: int) -> EnsembleResult:
     """Many independent rounding runs of one fractional schedule at once.
 
-    All runs share the per-slot transition probabilities, so the whole
-    ensemble advances in one kernel call on the stream of ``PCG64(seed)``,
-    one draw per run and slot, slot by slot; an integral slot moves every
-    run to its floor and jumps the stream over its draws unread.  Each run
-    starts and closes at 0, so it powers down as much as it powers up.
-    Used for marginal and expected-cost estimates.
+    All runs share the per-slot transition probabilities, so the ensemble
+    advances on the stream of ``PCG64(seed)``, one draw per run and slot,
+    slot by slot, run ``r`` reading position ``r`` of its slot's draws; an
+    integral slot moves every run to its floor and jumps the stream over its
+    draws unread.  A large ensemble is split into contiguous ranges of runs
+    that advance at once on one thread per core in the affinity mask, each
+    jumping the stream over the others' draws; the results do not depend on
+    the number of cores.  Each run starts and
+    closes at 0, so it powers down as much as it powers up.  Used for
+    marginal and expected-cost estimates.
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be positive")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     arr = np.asarray(xbar, dtype=np.float64)
     if arr.size != instance.T:
         raise ConfigError(f"fractional schedule length {arr.size} != T = {instance.T}")
@@ -266,16 +286,14 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     # is below p exactly when k < ceil(p * 2^53), which the scaling keeps exact.
     p, direction = _transitions(arr)
     thr = np.ceil(p * 2.0**53).astype(np.uint64)
-    rng = np.random.Generator(np.random.PCG64(seed))  # the stream of default_rng(seed)
+    pcg = np.random.PCG64(seed).state  # the stream of default_rng(seed)
     x = np.zeros(n_runs, dtype=np.int64)
     operating = np.zeros(n_runs, dtype=np.float64)
     ups = np.zeros(n_runs, dtype=np.int64)
-    upper = np.empty(instance.T, dtype=np.float64)  # runs above the floor, then their share
-    _ensemble(rng, S, thr, direction, F, x, operating, ups, upper)
+    above = _ensemble(pcg, S, thr, direction, F, x, operating, ups)
     switching = switching_cost(instance.beta, instance.convention, ups, 2 * ups)
     # Estimates marginal_upper: 0 on integral slots, where hi == lo.
-    upper /= n_runs
-    return EnsembleResult(costs=operating + switching, upper_frequency=upper, seed=seed)
+    return EnsembleResult(costs=operating + switching, upper_frequency=above / n_runs, seed=seed)
 
 
 def _transitions(xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,36 +317,122 @@ def _transitions(xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(p, 0.0, 1.0), direction
 
 
-def _ensemble(rng, S, thr, direction, F, x, operating, ups, upper):
-    """Advances the runs over every slot on ``len(x)`` draws of ``rng`` per
-    slot: the state ``x``, the operating cost and the power-ups of each run,
-    and per slot ``upper``, the number of runs above the floor ``S[t, 0]``.
-    A run's draw ``k * 2^-53`` is below the slot's move probability when
-    ``k < thr[t]``.  Every array is C-ordered with the dtype
-    ``rounding_ensemble`` gives it.  Runs the compiled kernel, which draws
-    the ``PCG64`` stream from ``rng``'s state without advancing ``rng``,
-    when there is one, else the numpy twin."""
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _split(n_runs: int, T: int) -> tuple[int, list[int]]:
+    """How an ensemble of ``n_runs`` runs over ``T`` slots is split: the
+    number of threads, one per core and at most one per range, and the
+    bounds ``0 = c_0 < c_1 < ... < c_k = n_runs`` of its contiguous run
+    ranges, one per ``_DRAWS_PER_PART`` stream positions and at most one per
+    run.  On one thread the ensemble is one range."""
+    parts = max(1, min(n_runs, n_runs * T // _DRAWS_PER_PART))
+    threads = min(_cores(), parts)
+    if threads == 1:
+        parts = 1
+    return threads, [n_runs * i // parts for i in range(parts + 1)]
+
+
+def _ensemble(pcg, S, thr, direction, F, x, operating, ups) -> np.ndarray:
+    """Advances the runs over every slot on ``len(x)`` draws per slot of
+    the ``PCG64`` stream whose state is ``pcg``: the state ``x``, the
+    operating cost and the power-ups of each run.  Returns per slot the
+    number of runs above the floor ``S[t, 0]``.  A run's draw ``k * 2^-53``
+    is below the slot's move probability when ``k < thr[t]``.  Every array
+    is C-ordered with the dtype ``rounding_ensemble`` gives it.
+
+    Each range of ``_split`` is one call of the compiled kernel, when there
+    is one, else of its numpy twin, which adds its counts to the calling
+    thread's row.  The
+    calling thread and the other threads of ``_split`` (ctypes releases the
+    GIL) each own a contiguous block of ranges and take them from its front;
+    a thread out of ranges takes the last range of the fullest other block.
+    So a thread whose core the host stalls holds up at most the range it is
+    on, and two threads seldom advance adjacent ranges at once, whose runs
+    share cache lines.  All threads are joined before the return.  Each
+    run's sums are taken in slot order, whichever range it is in, and the
+    integer counts sum exactly, so the split changes no result."""
+    T, n = S.shape[0], x.size
+    threads, cuts = _split(n, T)
+    above = np.zeros((threads, T), dtype=np.int64)
     lib = kernels.load()
     if lib is None:
-        return _ensemble_numpy(rng, S, thr, direction, F, x, operating, ups, upper)
-    pcg = rng.bit_generator.state["state"]
-    words = np.array(divmod(pcg["state"], 1 << 64) + divmod(pcg["inc"], 1 << 64),
-                     dtype=np.uint64)
-    lib.ensemble(S.shape[0], x.size,
-                 *(a.ctypes.data for a in (S, thr, direction, F, words, x, operating,
-                                           ups, upper)))
+        parts = [(_ensemble_numpy, (pcg, S, thr, direction, F, x, operating, ups, r0, r1))
+                 for r0, r1 in zip(cuts, cuts[1:])]
+        rows = list(above)
+    else:
+        words = np.array(divmod(pcg["state"]["state"], 1 << 64)
+                         + divmod(pcg["state"]["inc"], 1 << 64), dtype=np.uint64)
+        arrays = [a.ctypes.data for a in (S, thr, direction, F, words, x, operating, ups)]
+        parts = [(lib.ensemble, (T, n, r0, r1, *arrays)) for r0, r1 in zip(cuts, cuts[1:])]
+        rows = [row.ctypes.data for row in above]
+    # A deque's pops are atomic.
+    blocks = [collections.deque(parts[len(parts) * i // threads:len(parts) * (i + 1) // threads])
+              for i in range(threads)]
+    errors = []
+
+    def work(own, row):
+        try:
+            while (part := _take(own, blocks)) is not None:
+                fn, args = part
+                fn(*args, row)
+        except BaseException as e:  # re-raised on the calling thread
+            errors.append(e)
+
+    helpers = [threading.Thread(target=work, args=(block, row))
+               for block, row in zip(blocks[1:], rows[1:])]
+    for thread in helpers:
+        thread.start()
+    work(blocks[0], rows[0])
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return above.sum(axis=0)
 
 
-def _ensemble_numpy(rng, S, thr, direction, F, x, operating, ups, upper):
-    bits = rng.bit_generator
+def _take(own, blocks):
+    """The next range for the thread that owns the block ``own``: its front
+    range, else the back range of the fullest block; None when every block
+    is empty."""
+    while True:
+        try:
+            return own.popleft()
+        except IndexError:
+            pass
+        others = [block for block in blocks if block]
+        if not others:
+            return None
+        try:
+            return max(others, key=len).pop()
+        except IndexError:  # another thread took it first
+            pass
+
+
+def _ensemble_numpy(pcg, S, thr, direction, F, x, operating, ups, r0, r1, above):
+    """The kernel's twin on runs ``r0 <= r < r1``: on a slot with moves it
+    jumps the stream over the ``r0`` draws before the range and the
+    ``n - r1`` after it, on an integral slot over all ``n``, and it adds the
+    range's counts to ``above``."""
+    bits = np.random.PCG64()
+    bits.state = pcg
+    n = x.size
+    xs, op, up = x[r0:r1], operating[r0:r1], ups[r0:r1]
     for t, (lo, hi) in enumerate(S):
         if direction[t] == 0:
-            bits.advance(x.size)
+            bits.advance(n)
             k = None
         else:
-            k = bits.random_raw(x.size) >> np.uint64(11)
-        x_new = _advance(x, lo, hi, thr[t], direction[t], k)
-        operating += np.where(x_new == hi, F[t, 1], F[t, 0])
-        ups += np.maximum(x_new - x, 0)
-        upper[t] = np.count_nonzero(x_new > lo)
-        x[:] = x_new
+            bits.advance(r0)
+            k = bits.random_raw(r1 - r0) >> np.uint64(11)
+            bits.advance(n - r1)
+        x_new = _advance(xs, lo, hi, thr[t], direction[t], k)
+        op += np.where(x_new == hi, F[t, 1], F[t, 0])
+        up += np.maximum(x_new - xs, 0)
+        above[t] += np.count_nonzero(x_new > lo)
+        xs[:] = x_new

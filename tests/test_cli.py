@@ -286,6 +286,13 @@ def test_simulate_random_round_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_simulate_random_round_rejects_a_negative_seed(tmp_path, capsys):
+    path = write_instance(tmp_path, e1_doc())
+    assert main(["simulate", path, "--policy", "random-round", "--seed", "-1"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and "seed" in out.err
+
+
 def test_simulate_offline_ratio_is_one(tmp_path, capsys):
     path = write_instance(tmp_path, e1_doc())
     assert main(["simulate", path, "--policy", "offline"]) == 0
@@ -341,6 +348,13 @@ def test_adversary_rejects_fewer_than_one_run(capsys, runs):
     assert main(["adversary", "--variant", "randomized", "--policy", "random-round",
                  "--eps", "0.1", "--runs", runs]) == 4
     assert capsys.readouterr().out == ""
+
+
+def test_adversary_rejects_a_negative_seed(capsys):
+    assert main(["adversary", "--variant", "randomized", "--policy", "random-round",
+                 "--eps", "0.1", "--runs", "10", "--seed", "-1"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and "seed" in out.err
 
 
 def test_adversary_byte_determinism(tmp_path):

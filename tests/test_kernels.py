@@ -7,6 +7,9 @@ report no library, so both paths are checked on every machine.
 """
 
 import itertools
+import shutil
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -302,6 +305,146 @@ def test_ensemble_draw_equal_to_the_probability_does_not_move(paths):
         _assert_ensemble_matches_reference(paths, xbar, instance, n_runs, seed)
 
 
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the number of cores in the affinity mask and the stream
+    positions per run range, so that small ensembles split too."""
+
+    def set_cores(k, draws_per_part=1):
+        monkeypatch.setattr(randomized.os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(randomized, "_DRAWS_PER_PART", draws_per_part)
+
+    return set_cores
+
+
+@pytest.mark.parametrize("n_runs", [1, 2, 3, 1001, 4097])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_ensemble_split_across_cores_matches_reference(paths, cores, k, n_runs):
+    # About five ranges: more than 2 or 3 threads take, fewer than 7 cores;
+    # on 1, 2 or 3 runs one range per run.  The half walk's stretches keep a
+    # stream out of step by a range's jump from hiding.
+    xbar, instance = _integral_stretch_cases()[0]
+    cores(k, xbar.size * max(1, n_runs // 5))
+    parts = min(n_runs, 5)
+    threads, cuts = randomized._split(n_runs, xbar.size)
+    assert threads == min(k, parts)
+    assert len(cuts) - 1 == (parts if threads > 1 else 1)
+    _assert_ensemble_matches_reference(paths, xbar, instance, n_runs, seed=29)
+
+
+def _ensemble_parts(fn, cuts, xbar, instance, n_runs, seed):
+    """Runs the kernel ``fn`` (the compiled one or the numpy twin, called as
+    the twin is) on the run ranges between ``cuts``, one after another, and
+    returns each run's state, operating cost and power-ups and the summed
+    counts of runs above the floor."""
+    S = np.stack([np.floor(xbar), np.ceil(xbar)], axis=1).astype(np.int64)
+    F = np.ascontiguousarray(offline.evaluate_rows(instance.functions, S))
+    p, direction = randomized._transitions(xbar)
+    thr = np.ceil(p * 2.0**53).astype(np.uint64)
+    pcg = np.random.PCG64(seed).state
+    x, ups = np.zeros(n_runs, dtype=np.int64), np.zeros(n_runs, dtype=np.int64)
+    operating = np.zeros(n_runs)
+    above = np.zeros((len(cuts) - 1, xbar.size), dtype=np.int64)
+    for r0, r1, row in zip(cuts, cuts[1:], above):
+        fn(pcg, S, thr, direction, F, x, operating, ups, r0, r1, row)
+    return x, operating, ups, above.sum(axis=0)
+
+
+def _compiled_ensemble(pcg, S, thr, direction, F, x, operating, ups, r0, r1, above):
+    words = np.array(divmod(pcg["state"]["state"], 1 << 64)
+                     + divmod(pcg["state"]["inc"], 1 << 64), dtype=np.uint64)
+    kernels.load().ensemble(S.shape[0], x.size, r0, r1,
+                            *(a.ctypes.data for a in (S, thr, direction, F, words, x,
+                                                      operating, ups, above)))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+@pytest.mark.parametrize("n_runs", [2, 3, 5, 1001])
+def test_ensemble_kernel_ranges_match_one_range_and_twin(n_runs):
+    n = n_runs
+    for case, (xbar, instance) in enumerate(_integral_stretch_cases()):
+        whole = _ensemble_parts(_compiled_ensemble, [0, n], xbar, instance, n, seed=31 + case)
+        for cuts in ([0, 1, n - 1, n], [0, n // 2, n], [0, 0, n], [0, n - 1, n, n]):
+            ranges = _ensemble_parts(_compiled_ensemble, cuts, xbar, instance, n, 31 + case)
+            twin = _ensemble_parts(randomized._ensemble_numpy, cuts, xbar, instance, n,
+                                   31 + case)
+            for a, b, c in zip(whole, ranges, twin):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_ensemble_threads_end_with_the_call(paths, cores):
+    xbar, instance = _integral_stretch_cases()[1]
+    cores(3, xbar.size * 50)  # ten ranges of 50 runs on three threads
+    before = threading.active_count()
+    started = []
+    start = threading.Thread.start
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        paths(rounding_ensemble, xbar, instance, 500, 3)
+    assert len(started) == 4  # two threads on each path
+    assert threading.active_count() == before
+
+
+def test_ensemble_thread_out_of_ranges_takes_from_another_block(monkeypatch, cores):
+    # Ten ranges of 100 runs, five per thread; the helper thread stalls on
+    # its first range, so the calling thread takes the other four from the
+    # back of the helper's block.
+    xbar, instance = _integral_stretch_cases()[0]
+    cores(2, xbar.size * 100)
+    monkeypatch.setattr(kernels, "load", lambda: None)
+    on_main, on_helper = [], []
+    twin = randomized._ensemble_numpy
+
+    def stalling(*args):
+        r0 = args[8]
+        if r0 == 500:
+            time.sleep(0.3)
+        (on_main if threading.current_thread() is threading.main_thread() else on_helper).append(r0)
+        twin(*args)
+
+    monkeypatch.setattr(randomized, "_ensemble_numpy", stalling)
+    ens = rounding_ensemble(xbar, instance, 1000, 7)
+    costs, upper = _ensemble_reference(xbar, instance, 1000, 7)
+    assert np.array_equal(ens.costs, costs) and np.array_equal(ens.upper_frequency, upper)
+    assert on_main == [0, 100, 200, 300, 400, 900, 800, 700, 600]
+    assert on_helper == [500]
+
+
+def test_ensemble_error_in_a_range_is_raised_after_the_join(monkeypatch, cores):
+    xbar, instance = _integral_stretch_cases()[0]
+    cores(2, xbar.size * 100)
+    monkeypatch.setattr(kernels, "load", lambda: None)
+    twin = randomized._ensemble_numpy
+
+    def failing(*args):
+        if args[8] == 500:  # the first range of the helper thread's block
+            raise MemoryError("range 500")
+        twin(*args)
+
+    monkeypatch.setattr(randomized, "_ensemble_numpy", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="range 500"):
+        rounding_ensemble(xbar, instance, 1000, 7)
+    assert threading.active_count() == before
+
+
+def test_ensemble_split(monkeypatch):
+    T, n_runs = 10_000, 4000  # the benchmark's randomized duel
+    monkeypatch.setattr(randomized.os, "sched_getaffinity", lambda pid: {0})
+    assert randomized._split(n_runs, T) == (1, [0, n_runs])
+    # 4e7 stream positions make 19 ranges of 2^21 or more.
+    ranges = [n_runs * i // 19 for i in range(20)]
+    monkeypatch.setattr(randomized.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert randomized._split(n_runs, T) == (2, ranges)
+    monkeypatch.setattr(randomized.os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert randomized._split(n_runs, T) == (19, ranges)
+    # Below twice _DRAWS_PER_PART stream positions an ensemble is one range.
+    assert randomized._split(400, 300) == (1, [0, 400])
+    assert randomized._split(2, 2**21 - 1) == (1, [0, 2])
+    assert randomized._split(2, 2**21) == (2, [0, 1, 2])
+    assert randomized._split(1, 10**9) == (1, [0, 1])
+
+
 def test_ensemble_cases_cover_each_move():
     cases = _ensemble_cases()
     moves = {d for xbar, _, _ in cases for d in randomized._transitions(xbar)[1].tolist()}
@@ -316,6 +459,43 @@ def test_ensemble_stream_is_default_rng(seed):
     # the runs stay those of default_rng(seed).
     a = np.random.Generator(np.random.PCG64(seed)).random(1001)
     assert np.array_equal(a, np.random.default_rng(seed).random(1001))
+
+
+def test_load_builds_once_for_threads_that_call_it_first(tmp_path, monkeypatch):
+    # Two threads call load for the first time at once, on a source of
+    # their own: one compiler run, one library, no temporary file left.
+    shutil.copy(kernels.__file__.replace("kernels.py", "kernels.c"), tmp_path)
+    monkeypatch.setattr(kernels, "__file__", str(tmp_path / "kernels.py"))
+    builds = []
+    run = kernels.subprocess.run
+
+    def counted_run(*args, **kwargs):
+        out = run(*args, **kwargs)
+        builds.append(args)
+        return out
+
+    monkeypatch.setattr(kernels.subprocess, "run", counted_run)
+    barrier = threading.Barrier(2)
+    libs = [None, None]
+
+    def first_call(i):
+        barrier.wait()
+        libs[i] = kernels.load()
+
+    kernels.load.cache_clear()
+    try:
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        kernels.load.cache_clear()
+    compiled = shutil.which("cc") is not None
+    assert len(builds) == int(compiled)
+    assert len({getattr(lib, "_handle", None) for lib in libs}) == 1
+    assert (libs[0] is not None) == compiled
+    assert sorted(p.suffix for p in (tmp_path / "__pycache__").iterdir()) == [".so"] * compiled
 
 
 def test_out_of_range_probability_raises_contract_error():

@@ -311,3 +311,12 @@ def test_ensemble_needs_a_run(n_runs):
     inst = ProblemInstance(2, 1, 1.0, (AffineAbsCost(1.0, 0.0),) * 2)
     with pytest.raises(ConfigError):
         rounding_ensemble([0.5, 0.5], inst, n_runs, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_rounding_rejects_a_negative_seed(seed):
+    inst = ProblemInstance(2, 1, 1.0, (AffineAbsCost(1.0, 0.0),) * 2)
+    with pytest.raises(ConfigError, match="seed"):
+        rounding_ensemble([0.5, 0.5], inst, 4, seed)
+    with pytest.raises(ConfigError, match="seed"):
+        rounding_run([0.5, 0.5], inst, seed)
