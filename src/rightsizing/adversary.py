@@ -27,11 +27,12 @@ from .model import (
     StretchedCopyCost,
     cost_ratio,
     eval_cost,
+    extend_continuous,
     row_evaluator,
     slot_costs,
     switching_cost,
 )
-from .offline import dp_optimal
+from .offline import _kernel_costs, _window_schedule, dp_optimal
 from .randomized import (
     TOWARD_ONE,
     TOWARD_ZERO,
@@ -235,31 +236,12 @@ def _digest(labels: Sequence[str]) -> tuple[str, dict]:
     return hashlib.sha256(bits.encode()).hexdigest()[:16], counts
 
 
-def _open_grid_opt(slots: Sequence[Sequence[tuple[float, float]]], beta: float) -> float:
-    """Optimal open-ended cost over explicit per-slot (state, cost) grids,
-    charging half of beta per unit moved in either direction."""
-    cur = {0.0: 0.0}
-    half = beta / 2.0
-    for slot in slots:
-        nxt = {}
-        for s, op in slot:
-            if not math.isfinite(op):
-                continue
-            best = min(c + half * abs(s - sp) for sp, c in cur.items()) + op
-            nxt[s] = min(best, nxt.get(s, math.inf))
-        if not nxt:
-            raise ConfigError("no feasible state in some slot")
-        cur = nxt
-    return min(cur.values())
-
-
-def _duel_moves(states: Sequence[float], *, close: bool = False) -> tuple[np.ndarray, float]:
-    """Per-slot move sizes of a duel trajectory that starts idle (and, with
-    ``close``, powers down after the last slot), and their switching cost."""
-    d = np.diff(np.concatenate(([0.0], states, [0.0] if close else [])))
-    moves = np.abs(d)
-    return moves, switching_cost(DUEL_BETA, "symmetric", float(np.maximum(d, 0).sum()),
-                                 float(moves.sum()))
+def _open_cost(fns: Sequence[CostFunction], states) -> float:
+    """The cost of an open trajectory that starts idle: the fsum of its slot
+    costs plus the switching cost of its moves, with no final power-down."""
+    d = np.diff(states, prepend=0.0)
+    return math.fsum(slot_costs(fns, states).tolist()) + switching_cost(
+        DUEL_BETA, "symmetric", float(np.maximum(d, 0).sum()), float(np.abs(d).sum()))
 
 
 def _pull_costs(eps: float) -> dict[str, CostFunction]:
@@ -325,17 +307,20 @@ def _score_closed(play: _Play, m: int) -> dict:
                 switch_count=int(np.abs(np.diff(x, prepend=0)).sum()))
 
 
-def _score_open(play: _Play, grid: Sequence[float] | None) -> dict:
-    """The fsum of the slot costs plus the switching cost of the moves, each
-    nonzero move one switch, against the open-ended optimum over the duel's
-    state grid.  With no grid the trajectory closes and no optimum is taken."""
-    moves, switching = _duel_moves(play.states, close=grid is None)
-    cost = math.fsum(slot_costs(play.fns, play.states).tolist()) + switching
-    opt = None if grid is None else _open_grid_opt(
-        [list(zip(grid, row)) for row in
-         row_evaluator(play.fns)(np.tile(grid, (len(play.fns), 1))).tolist()], DUEL_BETA)
-    return dict(instance=play.instance(1), policy_cost=cost, opt_cost=opt,
-                switch_count=int(np.count_nonzero(moves)))
+def _score_open(play: _Play, states: Sequence[int], k: int) -> dict:
+    """The policy's open cost, each nonzero move one switch, against the
+    open-ended optimum over the duel's states ``states / k``.
+
+    An open trajectory from idle costs ``beta * ups - beta/2 * x_T``, so the
+    window kernel prices it with ``beta / k`` per unit up on the integer
+    states and the unpaid power-down credited on the last slot."""
+    S = np.broadcast_to(np.array(states, dtype=np.int64), (len(play.fns), len(states)))
+    F = _kernel_costs(row_evaluator(play.fns)(S / k))
+    F[-1] -= DUEL_BETA / 2 * S[-1] / k
+    x = _window_schedule(S, F, DUEL_BETA / k) / k
+    return dict(instance=play.instance(1), policy_cost=_open_cost(play.fns, play.states),
+                opt_cost=_open_cost(play.fns, x),
+                switch_count=int(np.count_nonzero(np.diff(play.states, prepend=0))))
 
 
 def _report(variant: str, policy: str, config: AdversaryConfig, play: _Play, *,
@@ -385,8 +370,7 @@ def _duel_continuous(policy, config: AdversaryConfig, pick=None) -> DuelReport:
     policy = _resolve_policy(policy, "continuous", config.eps)
     play = _play(policy, pick or _reference_pick(config.eps), _pull_costs(config.eps),
                  config.T, stop=True)
-    return _report("continuous", _name(policy), config, play,
-                   **_score_open(play, (0.0, 1.0)))
+    return _report("continuous", _name(policy), config, play, **_score_open(play, (0, 1), 1))
 
 
 def _duel_randomized(policy, config: AdversaryConfig) -> DuelReport:
@@ -397,11 +381,12 @@ def _duel_randomized(policy, config: AdversaryConfig) -> DuelReport:
         raise ConfigError("the randomized adversary duels the random-round policy")
     eps = config.eps
     play = _play(AlgorithmB(eps), _reference_pick(eps), _pull_costs(eps), config.T)
-    score = _score_open(play, None)
-    ens = rounding_ensemble(play.states, score["instance"], config.n_runs, config.seed)
-    score.update(fractional_cost=score["policy_cost"], policy_cost=float(ens.costs.mean()),
-                 opt_cost=dp_optimal(score["instance"]).cost)
-    return _report("randomized", "random-round", config, play, **score,
+    instance = play.instance(1)
+    ens = rounding_ensemble(play.states, instance, config.n_runs, config.seed)
+    return _report("randomized", "random-round", config, play, instance=instance,
+                   policy_cost=float(ens.costs.mean()), opt_cost=dp_optimal(instance).cost,
+                   fractional_cost=extend_continuous(instance).cost(play.states).total,
+                   switch_count=int(np.count_nonzero(np.diff(play.states, prepend=0, append=0))),
                    n_runs=config.n_runs)
 
 
@@ -440,14 +425,14 @@ def _duel_restricted_continuous(config: AdversaryConfig) -> DuelReport:
     non-idle state stays feasible; costs coincide with the two-level duel.
     """
     eps = config.eps
-    k = float(1 << max(1, math.ceil(math.log2(2.0 / eps))))
-    costs = {TOWARD_ZERO: RestrictedLoadCost(0.0, eps=eps, slope_k=k),
-             TOWARD_ONE: RestrictedLoadCost(1.0 / k, eps=eps, slope_k=k)}
+    k = 1 << max(1, math.ceil(math.log2(2.0 / eps)))
+    costs = {TOWARD_ZERO: RestrictedLoadCost(0.0, eps=eps, slope_k=float(k)),
+             TOWARD_ONE: RestrictedLoadCost(1.0 / k, eps=eps, slope_k=float(k))}
     play = _play(AlgorithmB(eps), _reference_pick(eps), costs, config.T, stop=True)
     general = _duel_continuous(AlgorithmB(eps), replace(config, variant="continuous"))
-    # States below a slot's load cost inf, which _open_grid_opt skips.
+    # States below a slot's load cost inf, which the window kernel never picks.
     return _report("restricted", "algorithm-b", config, play,
-                   **_score_open(play, (0.0, 1.0 / k, 1.0)), **_embedding(play, eps, 0, general))
+                   **_score_open(play, (0, 1, k), k), **_embedding(play, eps, 0, general))
 
 
 def run_duel(policy, config: AdversaryConfig) -> DuelReport:

@@ -2,11 +2,12 @@
 
 The source is built with the system ``cc`` on the first call of ``load``,
 never at import, into the package's ``__pycache__`` under a name keyed by
-the source hash, and reused from there. One build runs at a time, under a
-lock, into a temporary file of its own, so threads that call ``load`` for
-the first time at once share one build. Every kernel has a numpy twin in
-the module that calls it, which runs when ``load`` returns None and which
-the tests hold the compiled kernel to, bit for bit.
+the source hash, and reused from there; a build removes the libraries of
+older sources. One build runs at a time, under a lock, into a temporary
+file of its own, so threads that call ``load`` for the first time at once
+share one build. Every kernel has a numpy twin in the module that calls
+it, which runs when ``load`` returns None and which the tests hold the
+compiled kernel to, bit for bit.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ def load() -> ctypes.CDLL | None:
                 finally:
                     if os.path.exists(tmp):
                         os.unlink(tmp)
+                # Libraries of older sources; another build's temporary
+                # file ends in .tmp and is left alone.
+                for stale in path.parent.glob("kernels-*.so"):
+                    if stale != path:
+                        stale.unlink(missing_ok=True)
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError):
         return None

@@ -367,12 +367,6 @@ class ContinuousEvaluator:
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
 
-    def operating(self, t: int, x: float) -> float:
-        """Interpolated cost of x in (0-based) slot t."""
-        if not (0 <= x <= self.instance.m):
-            raise DomainError(f"state {x} outside [0, {self.instance.m}]")
-        return float(interpolated_costs(self.instance.functions[t:t + 1], np.array([x]))[0])
-
     def cost(self, xbar: Iterable[float]) -> CostBreakdown:
         arr = np.asarray(list(xbar), dtype=np.float64)
         inst = self.instance

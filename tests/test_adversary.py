@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from rightsizing import (
     AlgorithmB,
     AlgorithmBState,
     ConfigError,
+    ProblemInstance,
+    TableCost,
     adv_continuous_step,
     adv_discrete_step,
     algorithm_b_step,
@@ -22,6 +26,7 @@ from rightsizing import (
     run_scripted_workload,
     stretch_prediction,
 )
+from rightsizing.model import slot_costs
 
 
 # ---------------------------------------------------------------------------
@@ -286,32 +291,63 @@ def test_general_duel_symmetric_equals_up_only():
     assert opt_sym == opt_up
 
 
+def _dense_open_opt(rep, k: int) -> float:
+    """The grid DP's open-ended optimum of a duel over the states ``j / k``:
+    up-only switching at ``beta / k`` per step, and the power-down that an
+    open trajectory never pays credited on the last slot."""
+    grid = np.arange(k + 1) / k
+    rows = [[f(float(s)) for s in grid] for f in rep.instance.functions]
+    rows[-1] = [c - rep.beta / 2 * s for c, s in zip(rows[-1], grid)]
+    dense = ProblemInstance(len(rows), k, rep.beta / k,
+                            tuple(TableCost(row) for row in rows), convention="up_only")
+    return dp_optimal(dense).cost
+
+
 def test_continuous_duel_opt_matches_dense_grid():
     # the duel scores against an optimum restricted to the cost kinks
     # {0, 1}; a dense fractional grid must not find anything cheaper
-    from rightsizing.adversary import _open_grid_opt
-
     rep = run_duel("algorithm-b", AdversaryConfig(eps=0.1, variant="continuous"))
-    dense_states = np.linspace(0.0, 1.0, 41)
-    slots = [[(float(s), f(float(s))) for s in dense_states]
-             for f in rep.instance.functions]
-    dense = _open_grid_opt(slots, rep.beta)
-    assert dense >= rep.opt_cost - 1e-12
-    assert dense <= rep.opt_cost + 1e-12
+    assert abs(_dense_open_opt(rep, 40) - rep.opt_cost) <= 1e-12
 
 
 def test_restricted_continuous_duel_opt_matches_dense_grid():
-    from rightsizing.adversary import _open_grid_opt
-
+    # multiples of 1/40 and the load 1/32 of the default slope for eps = 0.1
     rep = run_duel("algorithm-b", AdversaryConfig(eps=0.1, variant="restricted"))
-    k = 1 << 5  # default slope for eps = 0.1
-    dense_states = sorted(set(np.linspace(0.0, 1.0, 41)) | {1.0 / k})
-    slots = []
-    for f in rep.instance.functions:
-        slots.append([(float(s), f(float(s))) for s in dense_states
-                      if s >= f.load])
-    dense = _open_grid_opt(slots, rep.beta)
-    assert abs(dense - rep.opt_cost) <= 1e-12
+    assert rep.instance.functions[0].slope_k == 32
+    assert abs(_dense_open_opt(rep, 160) - rep.opt_cost) <= 1e-12
+
+
+def test_open_optimum_credits_the_unpaid_power_down():
+    # Rising at once costs 1 open-ended; staying idle costs 8 * 0.25 = 2.
+    rep = run_scripted_workload(AlgorithmB(0.25), [TOWARD_ONE] * 8, 0.25)
+    assert rep.opt_cost == 1.0
+
+
+def _exact_open_opt(fns, states, beta: float) -> Fraction:
+    """The open-ended optimum over ``states``, each slot's evaluated cost
+    taken as the rational it is and half of beta charged per unit moved."""
+    rows = [slot_costs(fns, np.full(len(fns), float(s))).tolist() for s in states]
+    half = Fraction(beta) / 2
+    cur = {Fraction(0): Fraction(0)}
+    for costs in zip(*rows):
+        cur = {s: min(v + half * abs(s - p) for p, v in cur.items()) + Fraction(c)
+               for s, c in zip(states, costs) if math.isfinite(c)}
+    return min(cur.values())
+
+
+@pytest.mark.parametrize("variant", ["continuous", "restricted"])
+@pytest.mark.parametrize("eps", [0.02, 0.01])
+def test_open_optimum_is_correctly_rounded(variant, eps):
+    # Non-dyadic duels that end at the horizon: their slot costs round, so
+    # only a sum taken once over the optimum's slots is correctly rounded.
+    rep = run_duel("algorithm-b", AdversaryConfig(eps=eps, variant=variant, T=37))
+    assert rep.termination == "horizon"
+    fns = rep.instance.functions
+    states = [Fraction(0), Fraction(1)]
+    if variant == "restricted":
+        states.insert(1, Fraction(1, int(fns[0].slope_k)))
+    exact = _exact_open_opt(fns, states, rep.beta)
+    assert abs(Fraction(rep.opt_cost) - exact) <= Fraction(math.ulp(float(exact))) / 2
 
 
 @pytest.mark.parametrize("n_runs", [0, -3])

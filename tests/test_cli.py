@@ -486,6 +486,12 @@ GOLDEN_ADVERSARY = {
                        "--eps", "0.25", "--T", "24"],
     "restricted-algorithm-b": ["--variant", "restricted", "--policy",
                                "algorithm-b", "--eps", "0.25", "--T", "24"],
+    # Non-dyadic open duels that end at the horizon, so the optimum's slot
+    # costs round.
+    "continuous-algorithm-b-horizon": ["--variant", "continuous", "--policy",
+                                       "algorithm-b", "--eps", "0.01", "--T", "37"],
+    "restricted-algorithm-b-horizon": ["--variant", "restricted", "--policy",
+                                       "algorithm-b", "--eps", "0.01", "--T", "37"],
 }
 
 GOLDEN_DIGESTS = {
@@ -505,6 +511,8 @@ GOLDEN_DIGESTS = {
     "adversary-randomized-random-round-nondyadic": "aee1dafa01a19f0d",
     "adversary-restricted-lcp": "a86d2541af246c43",
     "adversary-restricted-algorithm-b": "f00a2d080e63e46b",
+    "adversary-continuous-algorithm-b-horizon": "cfb3de5f7dd1b52a",
+    "adversary-restricted-algorithm-b-horizon": "2f1b39df7e9bd6e4",
     "adversary-restricted-lcp-dump": "6100e2c0aad229a7",
     "nondyadic-solve-poly-up_only": "438719d871cfe771",
     "nondyadic-solve-oracle-up_only": "609e78901800b1e7",

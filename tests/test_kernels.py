@@ -498,6 +498,26 @@ def test_load_builds_once_for_threads_that_call_it_first(tmp_path, monkeypatch):
     assert sorted(p.suffix for p in (tmp_path / "__pycache__").iterdir()) == [".so"] * compiled
 
 
+def test_build_removes_stale_libraries_only(tmp_path, monkeypatch):
+    # A library of an older source goes once the new one is built; another
+    # build's temporary file stays.
+    shutil.copy(kernels.__file__.replace("kernels.py", "kernels.c"), tmp_path)
+    monkeypatch.setattr(kernels, "__file__", str(tmp_path / "kernels.py"))
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = cache / "kernels-0000000000000000.so"
+    other = cache / "kernels-1111111111111111.so.abc123.tmp"
+    stale.write_bytes(b"")
+    other.write_bytes(b"")
+    kernels.load.cache_clear()
+    try:
+        lib = kernels.load()
+    finally:
+        kernels.load.cache_clear()
+    assert other.exists()
+    assert stale.exists() == (lib is None)
+
+
 def test_out_of_range_probability_raises_contract_error():
     with pytest.raises(ContractError):
         randomized._checked_prob(1.5)

@@ -26,7 +26,7 @@ from rightsizing import (
     solve_poly,
     validate_instance,
 )
-from rightsizing.model import SchemaError
+from rightsizing.model import SchemaError, interpolated_costs
 
 
 def test_eval_cost_basic_example():
@@ -114,28 +114,22 @@ def test_eval_restricted_infeasible_names_first_slot():
 
 
 def test_continuous_extension_interpolates():
-    inst = ProblemInstance(1, 1, 1.0, (TableCost([0, 2]),))
-    ev = extend_continuous(inst)
-    assert ev.operating(0, 0.5) == 1.0
-    inst2 = ProblemInstance(1, 2, 1.0, (TableCost([3, 1, 0]),))
-    ev2 = extend_continuous(inst2)
-    assert ev2.operating(0, 1.25) == 0.75
-    for x in range(3):
-        assert ev2.operating(0, x) == inst2.functions[0](x)
-    with pytest.raises(DomainError):
-        ev2.operating(0, 2.5)
+    f = TableCost([3, 1, 0])
+    assert interpolated_costs([TableCost([0, 2])], np.array([0.5])).tolist() == [1.0]
+    assert interpolated_costs([f], np.array([1.25])).tolist() == [0.75]
+    assert interpolated_costs([f] * 3, np.arange(3.0)).tolist() == [f(x) for x in range(3)]
+    ev = extend_continuous(ProblemInstance(1, 2, 1.0, (f,)))
     for bad in (2.5, -0.5, math.nan):
         with pytest.raises(DomainError):
-            ev2.cost([bad])
+            ev.cost([bad])
 
 
 def test_continuous_extension_convex_along_grid():
     rng = np.random.default_rng(1)
     inst = random_table_instance(rng, 3, 6)
-    ev = extend_continuous(inst)
     grid = np.linspace(0, 6, 49)
-    for t in range(3):
-        vals = np.array([ev.operating(t, g) for g in grid])
+    for f in inst.functions:
+        vals = interpolated_costs([f] * grid.size, grid)
         second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
         assert np.all(second >= -1e-12)
 
