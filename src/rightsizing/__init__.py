@@ -30,7 +30,6 @@ from .offline import (
     pad_to_power_of_two,
     refine_candidates,
     restrict_phi,
-    round_fractional,
     scale_psi,
     solve_poly,
 )
@@ -48,11 +47,8 @@ from .randomized import (
     TOWARD_ZERO,
     AlgorithmB,
     AlgorithmBState,
-    ReplayPolicy,
     algorithm_b_step,
     classify_pull,
-    marginal_upper,
-    round_step,
     rounding_ensemble,
     rounding_run,
 )

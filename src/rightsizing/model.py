@@ -425,7 +425,8 @@ def _grid_violations(vals: np.ndarray) -> list[str]:
     v = np.where(finite, vals, 0.0)
     a, b, c = v[:-2], v[1:-1], v[2:]
     second = a - 2.0 * b + c
-    tol = -1e-9 * np.maximum(np.maximum(1.0, np.abs(a)), np.maximum(np.abs(b), np.abs(c)))
+    # Relative to the triple alone, so scaling every cost moves no verdict.
+    tol = -1e-9 * np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
     broken = finite[:-2] & finite[1:-1] & finite[2:] & (second < tol)
     if broken.any():
         i = int(np.argmax(broken))

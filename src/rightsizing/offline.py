@@ -422,12 +422,6 @@ def scale_psi(instance: ProblemInstance, l: int) -> ProblemInstance:
                             allowed_step=instance.allowed_step // fac)
 
 
-def round_fractional(xbar: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise floor and ceiling of a fractional schedule."""
-    arr = np.asarray(xbar, dtype=np.float64)
-    return np.floor(arr).astype(np.int64), np.ceil(arr).astype(np.int64)
-
-
 class _FractionalGridCost(CostFunction):
     """Interpolated operating cost sampled on a grid of spacing 1/denom."""
 

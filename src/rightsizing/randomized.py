@@ -4,7 +4,9 @@ fractional policy it is usually composed with.
 Rounding keeps each slot's integer state on the floor or ceiling of the
 fractional state, choosing transition probabilities so that the chance of
 sitting on the ceiling always equals the fractional part.  This preserves
-both expected operating cost and expected switching cost exactly.
+both expected operating cost and expected switching cost exactly.  One
+run (``rounding_run``) and an ensemble of runs share that one rule,
+``_transitions``, and one move, ``_advance``.
 
 An ensemble of runs advances over every slot in calls of a C kernel
 (``kernels.c``, compiled on first use by ``kernels.load``, never at
@@ -20,7 +22,6 @@ takes the same ranges, gives the same results where no C compiler works.
 from __future__ import annotations
 
 import collections
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -128,56 +129,9 @@ class AlgorithmB:
         return self._state.b
 
 
-class ReplayPolicy:
-    """Plays back a precomputed fractional schedule (e.g. the hindsight
-    optimum of the continuous relaxation)."""
-
-    name = "replay"
-
-    def __init__(self, xbar: Sequence[float]):
-        self._xbar = [float(v) for v in xbar]
-        self._i = 0
-
-    def step(self, f: CostFunction) -> float:
-        v = self._xbar[self._i]
-        self._i += 1
-        return v
-
-    @property
-    def fractional_state(self) -> float:
-        return self._xbar[self._i - 1] if self._i else 0.0
-
-
 # ---------------------------------------------------------------------------
 # rounding
 # ---------------------------------------------------------------------------
-
-
-def marginal_upper(xbar_t: float) -> float:
-    """Probability mass the rounded schedule puts on ceil(xbar_t)."""
-    return xbar_t - math.floor(xbar_t)
-
-
-def _checked_prob(p: float) -> float:
-    if p < -_PROB_SLACK or p > 1.0 + _PROB_SLACK:
-        raise ContractError(f"transition probability {p} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
-def _transition(xbar_prev: float, xbar_t: float) -> tuple[int, int, float, int]:
-    """One slot's rounding step: the floor and ceiling of ``xbar_t``, the
-    probability of moving, and the direction of the move (1 up to the
-    ceiling, -1 down to the floor, 0 when ``xbar_t`` is integral)."""
-    lo = math.floor(xbar_t)
-    hi = math.ceil(xbar_t)
-    if lo == hi:
-        return lo, hi, 0.0, 0
-    proj = min(max(xbar_prev, float(lo)), float(hi))
-    frac_proj = proj - math.floor(proj)
-    if xbar_prev <= xbar_t:
-        return lo, hi, _checked_prob((xbar_t - proj) / (1.0 - frac_proj)), 1
-    den = frac_proj if frac_proj > 0.0 else 1.0  # projection sits on the ceiling
-    return lo, hi, _checked_prob((proj - xbar_t) / den), -1
 
 
 def _advance(x_prev: np.ndarray, lo: int, hi: int, p: float, direction: int,
@@ -196,18 +150,6 @@ def _advance(x_prev: np.ndarray, lo: int, hi: int, p: float, direction: int,
     return np.where(x_prev == lo, lo, np.where(u < p, lo, hi))
 
 
-def round_step(x_prev: int, xbar_prev: float, xbar_t: float,
-               rng: np.random.Generator) -> int:
-    """Round one slot, keeping the state on the current floor/ceiling pair."""
-    if x_prev not in (math.floor(xbar_prev), math.ceil(xbar_prev)):
-        raise DomainError(f"state {x_prev} is not a rounding of {xbar_prev}")
-    if math.floor(xbar_t) == math.ceil(xbar_t):
-        return int(xbar_t)
-    u = np.array([rng.random()])
-    out = _advance(np.array([x_prev], dtype=np.int64), *_transition(xbar_prev, xbar_t), u)
-    return int(out[0])
-
-
 @dataclass(frozen=True)
 class RoundingResult:
     schedule: np.ndarray
@@ -220,30 +162,34 @@ class RoundingResult:
 def rounding_run(source, instance: ProblemInstance, seed: int) -> RoundingResult:
     """Run rounding over a fractional policy or a precomputed schedule.
 
-    Returns the realized integer schedule with its cost, plus the
-    fractional schedule's cost under the continuous relaxation so callers
-    can report ratios.
+    A policy is stepped online through ``step(f)``, slot by slot, and its
+    states are then rounded with the ensemble's rule on the stream of
+    ``default_rng(seed)``, one draw per non-integral slot.  Returns the
+    realized integer schedule with its cost, plus the fractional schedule's
+    cost under the continuous relaxation so callers can report ratios.
     """
     if seed < 0:
         raise ConfigError("seed must be non-negative")
-    if not hasattr(source, "step"):
-        if len(source) != instance.T:
-            raise ShapeError(f"fractional schedule length {len(source)} != T = {instance.T}")
-        source = ReplayPolicy(source)
-    rng = np.random.default_rng(seed)
-    xbar = np.empty(instance.T, dtype=np.float64)
-    x = np.empty(instance.T, dtype=np.int64)
-    prev_x, prev_xbar = 0, 0.0
-    for t, f in enumerate(instance.functions):
-        xbar[t] = source.step(f)
-        if not (0.0 <= xbar[t] <= instance.m):
-            raise ContractError(f"policy emitted state {xbar[t]} outside [0, m]")
-        x[t] = round_step(prev_x, prev_xbar, float(xbar[t]), rng)
-        prev_x, prev_xbar = int(x[t]), float(xbar[t])
+    if hasattr(source, "step"):
+        xbar = np.array([source.step(f) for f in instance.functions], dtype=np.float64)
+    else:
+        xbar = np.array(source, dtype=np.float64)
+        if xbar.ndim != 1 or xbar.size != instance.T:
+            raise ShapeError(f"fractional schedule length {xbar.size} != T = {instance.T}")
+    bad = np.flatnonzero(~((xbar >= 0.0) & (xbar <= instance.m)))
+    if bad.size:
+        raise ContractError(f"slot {bad[0]}: fractional state {xbar[bad[0]]} outside [0, m]")
+    S = np.stack([np.floor(xbar), np.ceil(xbar)], axis=1).astype(np.int64)
+    p, direction = _transitions(xbar)
+    u = np.zeros(instance.T)
+    u[direction != 0] = np.random.default_rng(seed).random(np.count_nonzero(direction))
+    x = np.zeros(instance.T + 1, dtype=np.int64)  # x[0] is the idle start
+    for t, (lo, hi) in enumerate(S):
+        x[t + 1:t + 2] = _advance(x[t:t + 1], lo, hi, p[t], direction[t], u[t])
     return RoundingResult(
-        schedule=x,
+        schedule=x[1:],
         xbar=xbar,
-        cost=eval_cost(instance, x),
+        cost=eval_cost(instance, x[1:]),
         fractional_cost=extend_continuous(instance).cost(xbar),
         seed=seed,
     )
@@ -292,14 +238,22 @@ def rounding_ensemble(xbar: Sequence[float], instance: ProblemInstance,
     ups = np.zeros(n_runs, dtype=np.int64)
     above = _ensemble(pcg, S, thr, direction, F, x, operating, ups)
     switching = switching_cost(instance.beta, instance.convention, ups, 2 * ups)
-    # Estimates marginal_upper: 0 on integral slots, where hi == lo.
+    # Estimates the fractional part: 0 on integral slots, where hi == lo.
     return EnsembleResult(costs=operating + switching, upper_frequency=above / n_runs, seed=seed)
 
 
 def _transitions(xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per slot, the move probability and direction of ``_transition``,
-    starting from 0 before the first slot, in whole-array operations that
-    round as its scalar ones do."""
+    """The rounding rule: per slot, the probability that a run moves and
+    the direction of the move (1 up to the ceiling, -1 down to the floor, 0
+    on an integral slot, which sends every run to its floor), starting from
+    0 before the first slot.  The previous fractional state is projected
+    onto the slot's floor and ceiling; a rising state moves a run up with
+    ``(xbar - proj) / (1 - frac(proj))``, a falling one moves it down with
+    ``(proj - xbar) / frac(proj)``, over 1 where the projection is the
+    ceiling, so the chance of sitting on the ceiling
+    stays the fractional part.  A probability within ``_PROB_SLACK`` of
+    ``[0, 1]`` is clipped to it; any other raises ``ContractError`` naming
+    the first such slot."""
     lo, hi = np.floor(xbar), np.ceil(xbar)
     prev = np.concatenate(([0.0], xbar))[:-1]
     proj = np.minimum(np.maximum(prev, lo), hi)

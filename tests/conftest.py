@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from rightsizing import AffineAbsCost, ProblemInstance, TableCost
+from rightsizing import AffineAbsCost, ProblemInstance, TableCost, randomized
+from rightsizing.model import ContractError
 
 
 def convex_table(rng: np.random.Generator, m: int, integer: bool = False) -> TableCost:
@@ -45,3 +48,25 @@ def dyadic_beta(rng: np.random.Generator) -> float:
     """A switching constant expressible exactly in binary, for exactness
     tests that compare costs across summation orders."""
     return float(rng.integers(1, 33)) / 8.0
+
+
+def scalar_transition(xbar_prev: float, xbar_t: float) -> tuple[int, int, float, int]:
+    """One slot of the rounding rule in scalar arithmetic, the reference for
+    ``randomized._transitions``: the floor and ceiling of ``xbar_t``, the
+    probability of moving, and the direction of the move (1 up to the
+    ceiling, -1 down to the floor, 0 when ``xbar_t`` is integral).  Reads
+    ``randomized._PROB_SLACK`` when called, so patching it reaches both."""
+    lo = math.floor(xbar_t)
+    hi = math.ceil(xbar_t)
+    if lo == hi:
+        return lo, hi, 0.0, 0
+    proj = min(max(xbar_prev, float(lo)), float(hi))
+    frac_proj = proj - math.floor(proj)
+    if xbar_prev <= xbar_t:
+        p, direction = (xbar_t - proj) / (1.0 - frac_proj), 1
+    else:
+        den = frac_proj if frac_proj > 0.0 else 1.0  # projection sits on the ceiling
+        p, direction = (proj - xbar_t) / den, -1
+    if p < -randomized._PROB_SLACK or p > 1.0 + randomized._PROB_SLACK:
+        raise ContractError(f"transition probability {p} outside [0, 1]")
+    return lo, hi, min(max(p, 0.0), 1.0), direction

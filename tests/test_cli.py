@@ -121,6 +121,8 @@ AFFINE = {"kind": "affine_abs", "eps": 1.0, "center": 1.0}
 BAD_DOCS = {
     "non-convex-table": ([_table(0, 1, 2), _table(0, 2, 1)],
                          ["solve", "--algorithm", "poly"], "f_2: not convex at x=1"),
+    "tiny-non-convex-table": ([_table(0, 1e-10, 0)], ["solve", "--algorithm", "poly"],
+                              "f_1: not convex at x=1", {"T": 1, "beta": 1e-10}),
     "nan-table-entry": ([_table(0, NAN, 1), _table(0, 1, 2)],
                         ["solve", "--algorithm", "poly"], "f_1: NaN value"),
     "minus-inf-table-entry": ([_table(0, 1, 2), _table(-INF, 0, 1)],

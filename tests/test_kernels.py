@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import convex_table, random_affine_instance, random_table_instance
+from conftest import convex_table, random_affine_instance, random_table_instance, scalar_transition
 from rightsizing import (
     DomainError,
     InfeasibleError,
@@ -29,7 +29,7 @@ from rightsizing import (
     rounding_ensemble,
     solve_poly,
 )
-from rightsizing.model import ContractError, switching_cost
+from rightsizing.model import switching_cost
 
 
 @pytest.fixture
@@ -197,7 +197,7 @@ def _ensemble_reference(xbar, instance, n_runs, seed):
     prev = 0.0
     for t, ((lo, hi), (f_lo, f_hi)) in enumerate(zip(S, F)):
         u = rng.random(n_runs)
-        x_new = randomized._advance(x, *randomized._transition(prev, float(arr[t])), u)
+        x_new = randomized._advance(x, *scalar_transition(prev, float(arr[t])), u)
         operating += np.where(x_new == hi, f_hi, f_lo)
         d = x_new - x
         ups += np.maximum(d, 0)
@@ -516,12 +516,3 @@ def test_build_removes_stale_libraries_only(tmp_path, monkeypatch):
         kernels.load.cache_clear()
     assert other.exists()
     assert stale.exists() == (lib is None)
-
-
-def test_out_of_range_probability_raises_contract_error():
-    with pytest.raises(ContractError):
-        randomized._checked_prob(1.5)
-    with pytest.raises(ContractError):
-        randomized._checked_prob(-1e-6)
-    assert randomized._checked_prob(1.0 + 1e-12) == 1.0
-    assert randomized._checked_prob(-1e-12) == 0.0

@@ -191,7 +191,7 @@ def _validate_reference(instance, sample_budget=1 << 16):
             if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(c)):
                 continue
             second = a - 2.0 * b + c
-            if second < -1e-9 * max(1.0, abs(a), abs(b), abs(c)):
+            if second < -1e-9 * max(abs(a), abs(b), abs(c)):
                 violations.append(f"f_{t}: not convex at x={int(pts[i])} "
                                   f"(second difference {second:g} < 0)")
                 break
@@ -255,6 +255,53 @@ def test_validate_rejects_minus_infinity_the_reference_missed():
     inst = ProblemInstance(1, 2, 1.0, (TableCost([-np.inf, 0.0, 1.0]),))
     assert _validate_reference(inst) == []
     assert validate_instance(inst) == ["f_1: negative value at x=0"]
+
+
+def _scaled(instance, scale):
+    """The instance with every cost and ``beta`` multiplied by ``scale``."""
+    fns = tuple(TableCost(f.values * scale) for f in instance.functions)
+    return instance.replace(beta=instance.beta * scale, functions=fns)
+
+
+def _scaling_cases(rng):
+    """Instances of convex, non-convex and ``inf``-edged tables, and of
+    tables of uniform values, which are seldom convex."""
+    cases = []
+    for flaw in ("none", "non-convex", "inf-ends") * 20:
+        fns = tuple(_broken_table(rng, 8, flaw) for _ in range(6))
+        cases.append(ProblemInstance(6, 8, dyadic_beta(rng), fns))
+    for _ in range(60):
+        # A small beta lets the optimum follow these costs from slot to slot.
+        fns = tuple(TableCost(rng.uniform(0.0, 1.0, 9)) for _ in range(6))
+        cases.append(ProblemInstance(6, 8, dyadic_beta(rng) / 16, fns))
+    return cases
+
+
+def test_validate_verdict_unchanged_under_power_of_two_scalings():
+    # A power of two scales every second difference and tolerance exactly,
+    # so only a floor on the costs' absolute size could move a verdict.
+    rng = np.random.default_rng(34)
+    verdicts = []
+    for inst in _scaling_cases(rng):
+        verdict = [v.split(" (")[0] for v in validate_instance(inst)]
+        for k in range(-60, 61, 5):
+            scaled = validate_instance(_scaled(inst, 2.0**k))
+            assert [v.split(" (")[0] for v in scaled] == verdict, k
+        verdicts.append(any("not convex" in v for v in verdict))
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+def test_solve_poly_matches_the_oracle_on_accepted_tiny_tables():
+    rng = np.random.default_rng(35)
+    accepted = 0
+    for inst in _scaling_cases(rng):
+        inst = _scaled(inst, 2.0**-40)
+        if validate_instance(inst):
+            continue
+        accepted += 1
+        poly, oracle = solve_poly(inst).cost, dp_optimal(inst).cost
+        assert abs(poly - oracle) <= 1e-9 * oracle
+    assert accepted >= 40
 
 
 def test_stretched_copies_sum_back():

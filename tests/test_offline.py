@@ -27,7 +27,6 @@ from rightsizing import (
     pad_to_power_of_two,
     refine_candidates,
     restrict_phi,
-    round_fractional,
     scale_psi,
     solve_poly,
 )
@@ -425,14 +424,6 @@ def test_psi_divisibility_errors():
 # ---------------------------------------------------------------------------
 
 
-def test_round_fractional_componentwise():
-    lo, hi = round_fractional([1.5, 1.5])
-    assert list(lo) == [1, 1]
-    assert list(hi) == [2, 2]
-    lo, hi = round_fractional([2.0, 0.0])
-    assert list(lo) == list(hi) == [2, 0]
-
-
 def test_fractional_optimum_rounds_to_equal_cost():
     rng = np.random.default_rng(16)
     for _ in range(25):
@@ -441,7 +432,7 @@ def test_fractional_optimum_rounds_to_equal_cost():
         xbar = fractional_grid_optimum(inst, 2)
         ev = extend_continuous(inst)
         frac_cost = ev.cost(xbar).total
-        lo, hi = round_fractional(xbar)
+        lo, hi = np.floor(xbar), np.ceil(xbar)
         int_cost = dp_optimal(inst).cost
         assert costs_close(frac_cost, int_cost)
         assert costs_close(eval_cost(inst, lo).total, frac_cost)

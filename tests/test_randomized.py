@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_affine_instance
+from conftest import random_affine_instance, scalar_transition
 from rightsizing import (
     TOWARD_ONE,
     TOWARD_ZERO,
@@ -13,16 +13,13 @@ from rightsizing import (
     ConfigError,
     DomainError,
     ProblemInstance,
-    ReplayPolicy,
     ShapeError,
     TableCost,
     algorithm_b_step,
     classify_pull,
     eval_cost,
     extend_continuous,
-    marginal_upper,
     randomized,
-    round_step,
     rounding_ensemble,
     rounding_run,
 )
@@ -70,51 +67,6 @@ def test_classify_pull():
 
 
 # ---------------------------------------------------------------------------
-# marginals and single-step rounding
-# ---------------------------------------------------------------------------
-
-
-def test_marginal_upper_values():
-    assert marginal_upper(0.5) == 0.5
-    assert marginal_upper(3.0) == 0.0
-    assert marginal_upper(1.75) == 0.75
-
-
-def test_round_step_first_slot_quarter():
-    rng = np.random.default_rng(1)
-    hits = sum(round_step(0, 0.0, 0.25, rng) for _ in range(40_000))
-    p = hits / 40_000
-    assert abs(p - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 40_000)
-
-
-def test_round_step_keeps_upper_state():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        assert round_step(1, 0.5, 0.5, rng) == 1
-
-
-def test_round_step_integral_is_deterministic():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        assert round_step(1, 1.5, 2.0, rng) == 2
-
-
-def test_round_step_validates_previous_state():
-    rng = np.random.default_rng(4)
-    with pytest.raises(DomainError):
-        round_step(3, 1.5, 1.7, rng)
-
-
-def test_round_step_descent_from_integer_projection():
-    # previous fractional state above the ceiling: the projection is the
-    # ceiling itself and the drop probability must equal 1 - frac
-    rng = np.random.default_rng(5)
-    hits = sum(round_step(2, 2.0, 1.25, rng) == 2 for _ in range(40_000))
-    p = hits / 40_000
-    assert abs(p - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 40_000)
-
-
-# ---------------------------------------------------------------------------
 # whole-run rounding
 # ---------------------------------------------------------------------------
 
@@ -156,6 +108,12 @@ def test_rounding_run_integral_schedule_is_identity():
     assert res.cost.total == res.fractional_cost.total
 
 
+def test_rounding_run_integral_slot_is_deterministic():
+    inst = ProblemInstance(2, 2, 1.0, (TableCost([0.0, 1.0, 2.0]),) * 2)
+    for seed in range(10):
+        assert rounding_run([1.5, 2.0], inst, seed).schedule[1] == 2
+
+
 def test_support_law():
     rng = np.random.default_rng(8)
     inst = random_affine_instance(rng, 20, 4)
@@ -189,6 +147,25 @@ def test_ensemble_marginals_and_preservation():
     assert ens.costs.mean() == pytest.approx(target, rel=0.01)
 
 
+def _assert_upper_frequency(ens, t, p):
+    n = ens.costs.size
+    assert abs(ens.upper_frequency[t] - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+
+def test_ensemble_first_slot_quarter():
+    inst = ProblemInstance(1, 1, 1.0, (TableCost([0.0, 1.0]),))
+    _assert_upper_frequency(rounding_ensemble([0.25], inst, 40_000, seed=1), 0, 0.25)
+
+
+def test_ensemble_descent_from_integer_projection():
+    # The previous fractional state 2.0 is above the ceiling 2 of 1.25, so
+    # the projection is the ceiling itself and a run drops with 1 - frac.
+    inst = ProblemInstance(2, 2, 1.0, (TableCost([0.0, 1.0, 2.0]),) * 2)
+    ens = rounding_ensemble([2.0, 1.25], inst, 40_000, seed=5)
+    assert ens.upper_frequency[0] == 0.0  # every run sits on the floor 2
+    _assert_upper_frequency(ens, 1, 0.25)
+
+
 def test_ensemble_marginals_with_large_jumps():
     # slots that hop across several integers exercise the projection of
     # the previous state onto the new floor/ceiling interval
@@ -206,14 +183,34 @@ def test_ensemble_marginals_with_large_jumps():
 
 
 def _scalar_transitions(xbar):
-    """The per-slot loop over ``_transition`` that ``_transitions`` replaced."""
+    """The rounding rule slot by slot, in scalar arithmetic."""
     p = np.empty(xbar.size)
     direction = np.empty(xbar.size, dtype=np.int8)
     prev = 0.0
     for t, cur in enumerate(xbar.tolist()):
-        _, _, p[t], direction[t] = randomized._transition(prev, cur)
+        _, _, p[t], direction[t] = scalar_transition(prev, cur)
         prev = cur
     return p, direction
+
+
+def _reference_walk(xbar, seed):
+    """One run rounded slot by slot with the scalar rule, one
+    ``rng.random()`` per non-integral slot."""
+    rng = np.random.default_rng(seed)
+    x, prev, out = 0, 0.0, []
+    for cur in xbar.tolist():
+        lo, hi, p, direction = scalar_transition(prev, cur)
+        if direction == 0:
+            x = lo
+        else:
+            move = rng.random() < p
+            if direction > 0:
+                x = hi if x == hi or move else lo
+            else:
+                x = lo if x == lo or move else hi
+        out.append(x)
+        prev = cur
+    return np.array(out, dtype=np.int64)
 
 
 def _transition_walk(rng, i):
@@ -239,6 +236,19 @@ def test_transitions_match_the_scalar_transition_bit_for_bit():
         assert np.array_equal(direction, ref_direction)
 
 
+@pytest.mark.parametrize("convention", ["up_only", "symmetric"])
+def test_rounding_run_matches_a_reference_walk_bit_for_bit(convention):
+    rng = np.random.default_rng(17)
+    for i in range(300):
+        xbar = _transition_walk(rng, i)
+        inst = random_affine_instance(rng, xbar.size, int(np.ceil(xbar.max())) or 1)
+        inst = inst.replace(convention=convention)
+        res = rounding_run(xbar, inst, seed=i)
+        ref = _reference_walk(xbar, seed=i)
+        assert np.array_equal(res.schedule, ref)
+        assert res.cost == eval_cost(inst, ref)
+
+
 def test_transitions_name_the_first_slot_past_the_slack(monkeypatch):
     # No schedule in [0, m] takes a probability past the slack by more than
     # rounding, so a negative slack stands in for one: only probabilities in
@@ -251,19 +261,31 @@ def test_transitions_name_the_first_slot_past_the_slack(monkeypatch):
         _scalar_transitions(xbar)
 
 
+class _Replay:
+    """A fractional policy that plays back a given schedule."""
+
+    def __init__(self, xbar):
+        self._states = iter(xbar)
+
+    def step(self, f):
+        return next(self._states)
+
+
 def test_replay_policy_feeds_schedule_through():
     rng = np.random.default_rng(12)
     inst = random_affine_instance(rng, 6, 2)
     xbar = _fractional_walk(rng, 6, 2)
-    res = rounding_run(ReplayPolicy(xbar), inst, seed=3)
-    assert np.allclose(res.xbar, xbar)
+    res = rounding_run(_Replay(xbar), inst, seed=3)
+    assert np.array_equal(res.xbar, xbar)
+    assert np.array_equal(res.schedule, rounding_run(xbar, inst, seed=3).schedule)
 
 
 def test_policy_emitting_out_of_range_is_caught():
     rng = np.random.default_rng(13)
     inst = random_affine_instance(rng, 2, 1)
-    with pytest.raises(ContractError):
-        rounding_run(ReplayPolicy([0.5, 4.0]), inst, seed=0)
+    for xbar, slot in (([0.5, 4.0], 1), ([-0.25, 0.5], 0), ([0.5, math.nan], 1)):
+        with pytest.raises(ContractError, match=f"slot {slot}:"):
+            rounding_run(_Replay(xbar), inst, seed=0)
 
 
 @pytest.mark.parametrize("xbar", [[0.5], [0.5, 0.5, 0.5, 0.5]])
